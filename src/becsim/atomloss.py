@@ -126,11 +126,3 @@ def initial_decay_rate(p):
     rate_a = p.Gamma_l + p.K_ab * nb + p.L_a * na ** 2
     rate_b = p.Gamma_l + p.K_ab * na + p.K_b * nb
     return rate_a, rate_b
-
-
-def loss_csv(times, na, nb):
-    """CSV text in the t,<series...> layout used by the evolution records."""
-    lines = ["t,Na,Nb"]
-    for row in zip(times, na, nb):
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
 from .lindblad import (LindbladModel, MultiModeBasis, OccupationBasis,
-                       SectorPropagator, fit_decay_rate, integrate_master,
-                       propagate, MAX_DENSITY_DIM)
-from .spin import spin_operator, sqrt_binomial
+                       SectorPropagator, integrate_master, propagate,
+                       MAX_DENSITY_DIM)
+from .spin import kron_product, spin_operator, sqrt_binomial
 
 AXIS_CONVENTIONS = ("caption", "paper-body")
 
@@ -34,16 +34,9 @@ def site_operator(m_sites, n_atoms, factors):
     sites get the identity.  Site 0 varies slowest, matching the register
     ordering used for pure states.
     """
-    dim = n_atoms + 1
-    out = np.ones((1, 1), dtype=complex)
-    for site in range(m_sites):
-        axis = factors.get(site)
-        if axis is None:
-            op = np.eye(dim, dtype=complex)
-        else:
-            op = spin_operator(axis, n_atoms).entries
-        out = np.kron(out, op)
-    return out
+    return kron_product([spin_operator(factors.get(site, "I"),
+                                       n_atoms).entries
+                         for site in range(m_sites)])
 
 
 def build_dephasing_model(m_sites, n_atoms, axis, gamma, hamiltonian=None):
@@ -87,10 +80,7 @@ def loss_basis(n_max):
 def loss_site_operator(basis, m_sites, site, op):
     """Embed a one-site matrix over the loss basis into m_sites sites."""
     eye = np.eye(basis.size, dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
-    for n in range(m_sites):
-        out = np.kron(out, op if n == site else eye)
-    return out
+    return kron_product([op if n == site else eye for n in range(m_sites)])
 
 
 def loss_spin_operator(basis, axis):
@@ -397,30 +387,10 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         bc = basis.transition(b_mode, c_mode)       # b+ c
         h = h + drive_sign * g_laser * (bc + bc.conj().T)
         # G (b+ c p+ + c+ b p): photon emitted as the atom drops c -> b
-        bcp = np.zeros((basis.size, basis.size), dtype=complex)
-        for j, s in enumerate(basis.states):
-            if s[c_mode] == 0:
-                continue
-            t = list(s)
-            t[c_mode] -= 1
-            t[b_mode] += 1
-            t[6] += 1
-            i = basis.index.get(tuple(t))
-            if i is not None:
-                bcp[i, j] = math.sqrt(s[c_mode] * t[b_mode] * t[6])
+        bcp = basis.ladder((b_mode, 6), (c_mode,))
         h = h + g_g * (bcp + bcp.conj().T)
     jumps = ((basis.lower(6), params.gamma_c),) if params.gamma_c else ()
     return LindbladModel(h, jumps, basis_tag=basis.tag)
-
-
-def cavity_sectors(basis):
-    """Conserved sector label: the a-mode populations of both BECs.
-
-    Neither the drive, the cavity coupling nor photon decay touches
-    mode a, so (n_a1, n_a2) is conserved and the Liouvillian decouples
-    into small blocks.
-    """
-    return np.array([s[0] * 1000 + s[3] for s in basis.states])
 
 
 def cavity_initial_state(basis, n_atoms):
@@ -507,11 +477,9 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
                              n_ph_max=ph_max)
         model = build_cavity_model(params, g_laser)
         basis = cavity_basis(n_atoms, ph_max, ph_max + 1)
-        sectors = cavity_sectors(basis)
-        fwd = SectorPropagator(model, sectors)
+        fwd = SectorPropagator(model)
         rev = SectorPropagator(
-            LindbladModel(-model.hamiltonian, model.jumps, model.basis_tag),
-            sectors)
+            LindbladModel(-model.hamiltonian, model.jumps, model.basis_tag))
         psi = cavity_initial_state(basis, n_atoms)
         rho0 = np.outer(psi, psi.conj())
         sx1 = cavity_sx1(basis, n_atoms) / n_atoms

@@ -12,12 +12,12 @@ in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.stats import linregress
 
@@ -26,10 +26,14 @@ from .errors import CapacityError, IntegrationError
 # Full density-matrix integration ceiling (matrix side length).
 MAX_DENSITY_DIM = 2500
 
-# A record is marked failed when the sampled trace strays this far from 1;
-# drift past TRACE_ABORT stops the integration outright.
+# A record is marked failed when the sampled trace strays this far from 1,
+# or a sampled eigenvalue of rho falls this far below 0; trace drift past
+# TRACE_ABORT stops the integration outright.
 TRACE_FLAG = 1e-7
 TRACE_ABORT = 1e-6
+
+# Local relative tolerance of the adaptive Runge-Kutta (DOP853) path.
+RK_TOL = 1e-9
 
 # Eigenvalue positivity checks are only affordable on small matrices, and
 # only at a handful of sample points.
@@ -86,31 +90,35 @@ class OccupationBasis:
 
     def lower(self, mode):
         """Annihilation operator for one mode, truncated to the basis."""
-        d = self.size
-        out = np.zeros((d, d), dtype=complex)
-        for j, s in enumerate(self.states):
-            if s[mode] == 0:
-                continue
-            t = list(s)
-            t[mode] -= 1
-            i = self.index.get(tuple(t))
-            if i is not None:
-                out[i, j] = math.sqrt(s[mode])
-        return out
+        return self.ladder((), (mode,))
 
     def transition(self, create_mode, destroy_mode):
         """Matrix of  a+_create a_destroy, truncated to the basis."""
-        d = self.size
-        out = np.zeros((d, d), dtype=complex)
-        for j, s in enumerate(self.states):
-            if s[destroy_mode] == 0:
-                continue
-            t = list(s)
-            t[destroy_mode] -= 1
-            t[create_mode] += 1
-            i = self.index.get(tuple(t))
-            if i is not None:
-                out[i, j] = math.sqrt(s[destroy_mode] * t[create_mode])
+        return self.ladder((create_mode,), (destroy_mode,))
+
+    def ladder(self, create=(), destroy=()):
+        """Matrix of  prod_c a+_c prod_d a_d  over distinct modes.
+
+        Column s maps to row s + create - destroy with element
+        sqrt(prod_d n_d prod_c (n_c + 1)); rows outside the basis are
+        dropped, which is the truncation.
+        """
+        modes = list(create) + list(destroy)
+        if len(set(modes)) != len(modes):
+            raise ValueError("ladder modes must be distinct")
+        occ = np.array(self.states)
+        step = np.zeros(self.mode_count, dtype=int)
+        step[list(create)] = 1
+        step[list(destroy)] = -1
+        target = occ + step
+        factors = np.where(step > 0, target, np.where(step < 0, occ, 1))
+        # one sqrt of an exact integer product per element
+        elem = np.sqrt(np.prod(factors, axis=1))
+        rows = np.array([self.index.get(tuple(t), -1)
+                         for t in target.tolist()])
+        cols = np.flatnonzero(rows >= 0)
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[rows[cols], cols] = elem[cols]
         return out
 
 
@@ -139,8 +147,7 @@ class LindbladModel:
     basis_tag: str = ""
 
     def __post_init__(self):
-        h = np.asarray(getattr(self.hamiltonian, "entries", self.hamiltonian),
-                       dtype=complex)
+        h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("hamiltonian must be square")
         d = h.shape[0]
@@ -153,7 +160,7 @@ class LindbladModel:
             raise ValueError("hamiltonian is not Hermitian")
         jumps = []
         for op, rate in self.jumps:
-            op = np.asarray(getattr(op, "entries", op), dtype=complex)
+            op = np.asarray(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValueError("jump operator dimension mismatch")
             if rate < 0:
@@ -195,30 +202,24 @@ class EvolutionRecord:
         for name, series in self.observables.items():
             if np.asarray(series).size != n:
                 raise ValueError("series %r length mismatch" % name)
-        self.failed = bool(self.failed or np.any(
-            np.abs(self.trace_dev) > TRACE_FLAG))
+        # NaN (an unsampled min_eig) compares False
+        self.failed = bool(self.failed
+                           or np.any(np.abs(self.trace_dev) > TRACE_FLAG)
+                           or np.any(self.min_eig < -TRACE_FLAG))
 
     def series(self, name):
         return np.asarray(self.observables[name], dtype=float)
 
-    def to_csv(self, path=None):
-        """CSV text: t,<observable names...>,trace_dev,herm_defect."""
+    def table(self):
+        """(header, rows): t,<observable names...>,trace_dev,herm_defect."""
         names = list(self.observables)
-        lines = [",".join(["t"] + names + ["trace_dev", "herm_defect"])]
         cols = [self.times] + [np.real(self.observables[k]) for k in names]
         cols += [self.trace_dev, self.herm_defect]
-        for row in zip(*cols):
-            lines.append(",".join("%.17g" % v for v in row))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return ["t"] + names + ["trace_dev", "herm_defect"], zip(*cols)
 
 
 def _as_matrix(rho0, dim):
-    mat = getattr(rho0, "entries", getattr(rho0, "amps", rho0))
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(rho0, dtype=complex)
     if mat.ndim == 1:
         if mat.size != dim:
             raise ValueError("state vector dimension mismatch")
@@ -251,19 +252,41 @@ def _liouvillian(model):
     return lv.tocsr()
 
 
-def _sample_rho(rho_list, times, model, observables, min_eig_check, meta):
+def _exact_series(model, rho, t_end, samples):
+    """Density matrices at `samples` equally spaced times in [0, t_end].
+
+    Exact for a time-independent generator.  When every operator is
+    diagonal each element rho_ij evolves by its own exponential;
+    otherwise expm_multiply applies the exponential of the sparse
+    Liouvillian to rho over the whole grid.
+    """
+    d = model.dim
+    if _all_diagonal(model):
+        h = np.diagonal(model.hamiltonian)
+        gen = -1j * (h[:, None] - h[None, :])
+        for op, rate in model.active_jumps():
+            l = np.diagonal(op)
+            gen = gen + rate * (l[:, None] * l[None, :].conj()
+                                - 0.5 * (np.abs(l)[:, None] ** 2
+                                         + np.abs(l)[None, :] ** 2))
+        return (np.exp(t * gen) * rho
+                for t in np.linspace(0.0, t_end, samples))
+    flat = expm_multiply(_liouvillian(model), rho.reshape(-1), start=0.0,
+                         stop=t_end, num=samples, endpoint=True)
+    return (flat[i].reshape(d, d) for i in range(samples))
+
+
+def _sample_rho(rho_list, times, model, observables, meta):
     n = len(times)
     names = list(observables)
     obs = {name: np.empty(n) for name in names}
     trace_dev = np.empty(n)
     herm = np.empty(n)
     min_eig = np.full(n, np.nan)
-    d = model.dim
-    if min_eig_check and d <= MIN_EIG_DIM:
+    if model.dim <= MIN_EIG_DIM:
         eig_at = set(np.linspace(0, n - 1, min(n, MIN_EIG_SAMPLES)).astype(int))
     else:
         eig_at = set()
-    failed = False
     for i, rho in enumerate(rho_list):
         tr = np.trace(rho)
         trace_dev[i] = abs(tr - 1.0)
@@ -279,65 +302,37 @@ def _sample_rho(rho_list, times, model, observables, min_eig_check, meta):
         for name in names:
             obs[name][i] = np.real(np.trace(observables[name] @ rho))
     return EvolutionRecord(np.asarray(times), obs, trace_dev, herm,
-                           min_eig=min_eig, failed=failed, meta=meta)
+                           min_eig=min_eig, meta=meta)
 
 
-def integrate_master(model, rho0, t_end, samples, tol=1e-9,
-                     observables=None, method="auto", min_eig_check=True):
+def integrate_master(model, rho0, t_end, samples, observables=None,
+                     method="auto"):
     """Propagate rho under the model and sample observables on a grid.
 
     observables maps names to Hermitian matrices; their real expectation
     values are recorded at `samples` equally spaced times in [0, t_end].
-    method is one of "auto", "diag" (exact, requires every operator
-    diagonal), "expm" (sparse Krylov propagation of the vectorized
-    equation, time-independent generator), or "rk" (adaptive Runge-Kutta
-    with local tolerance tol).
+    method is one of "auto", "expm" (exact evaluation of the
+    time-independent generator, elementwise when every operator is
+    diagonal), or "rk" (adaptive DOP853 with local tolerance RK_TOL).
+    "auto" picks "expm" for diagonal models and above dimension 64.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    observables = {
-        name: np.asarray(getattr(op, "entries", op), dtype=complex)
-        for name, op in (observables or {}).items()}
+    observables = {name: np.asarray(op, dtype=complex)
+                   for name, op in (observables or {}).items()}
     d = model.dim
     rho = _as_matrix(rho0, d)
     times = np.linspace(0.0, t_end, samples)
 
     if method == "auto":
-        if _all_diagonal(model):
-            method = "diag"
-        elif d > 64:
-            method = "expm"
-        else:
-            method = "rk"
+        method = "expm" if _all_diagonal(model) or d > 64 else "rk"
     meta = {"method": method, "dim": d}
 
-    if method == "diag":
-        if not _all_diagonal(model):
-            raise ValueError("diag method requires diagonal operators")
-        h = np.diagonal(model.hamiltonian)
-        gen = -1j * (h[:, None] - h[None, :])
-        for op, rate in model.active_jumps():
-            l = np.diagonal(op)
-            gen = gen + rate * (l[:, None] * l[None, :].conj()
-                                - 0.5 * (np.abs(l)[:, None] ** 2
-                                         + np.abs(l)[None, :] ** 2))
-        rhos = (np.exp(t * gen) * rho for t in times)
-        return _sample_rho(rhos, times, model, observables,
-                           min_eig_check, meta)
-
     if method == "expm":
-        lv = _liouvillian(model)
-        flat = expm_multiply(lv, rho.reshape(-1), start=0.0, stop=t_end,
-                             num=samples, endpoint=True)
-        rhos = (flat[i].reshape(d, d) for i in range(samples))
-        return _sample_rho(rhos, times, model, observables,
-                           min_eig_check, meta)
-
-    if method == "rk":
+        rhos = _exact_series(model, rho, t_end, samples)
+    elif method == "rk":
         h = model.hamiltonian
         jumps = [(op, op.conj().T @ op, rate)
                  for op, rate in model.active_jumps()]
@@ -351,67 +346,48 @@ def integrate_master(model, rho0, t_end, samples, tol=1e-9,
             return out.reshape(-1)
 
         sol = solve_ivp(rhs, (0.0, t_end), rho.reshape(-1), t_eval=times,
-                        method="DOP853", rtol=tol, atol=tol * 1e-2)
+                        method="DOP853", rtol=RK_TOL, atol=RK_TOL * 1e-2)
         if not sol.success:
             raise IntegrationError("integrator failed: %s" % sol.message,
                                    last_good_time=float(sol.t[-1])
                                    if sol.t.size else 0.0)
         rhos = (sol.y[:, i].reshape(d, d) for i in range(samples))
-        return _sample_rho(rhos, times, model, observables,
-                           min_eig_check, meta)
+    else:
+        raise ValueError("unknown method %r" % method)
+    return _sample_rho(rhos, times, model, observables, meta)
 
-    raise ValueError("unknown method %r" % method)
 
-
-def propagate(model, rho, t, method="auto"):
+def propagate(model, rho, t):
     """Density matrix at a single later time t (no sampling grid)."""
-    d = model.dim
-    rho = _as_matrix(rho, d)
+    rho = _as_matrix(rho, model.dim)
     if t == 0.0:
         return rho
-    if method == "auto":
-        method = "diag" if _all_diagonal(model) else "expm"
-    if method == "diag":
-        h = np.diagonal(model.hamiltonian)
-        gen = -1j * (h[:, None] - h[None, :])
-        for op, rate in model.active_jumps():
-            l = np.diagonal(op)
-            gen = gen + rate * (l[:, None] * l[None, :].conj()
-                                - 0.5 * (np.abs(l)[:, None] ** 2
-                                         + np.abs(l)[None, :] ** 2))
-        return np.exp(t * gen) * rho
-    if method == "expm":
-        lv = _liouvillian(model)
-        return expm_multiply(lv * t, rho.reshape(-1)).reshape(d, d)
-    raise ValueError("unknown method %r" % method)
+    return list(_exact_series(model, rho, t, 2))[-1]
 
 
 class SectorPropagator:
-    """Exact Lindblad propagator for models with a conserved sector label.
+    """Exact Lindblad propagator over the sectors the operators conserve.
 
-    When the Hamiltonian and every jump operator are block diagonal over
-    some partition of the basis, the superoperator decouples into
-    independent (sector, sector) blocks of the density matrix.  Each
-    block generator is diagonalized once, after which evolution to any
-    time is a single reconstruction — no stiffness limit, which matters
-    for weak effective interactions whose gate times exceed the fast
-    oscillation period by many orders of magnitude.
+    A sector is a connected component of the joint support of the
+    Hamiltonian and the active jumps, so every operator is block diagonal
+    over the sectors and the superoperator decouples into independent
+    (sector, sector) blocks of the density matrix (Buca & Prosen, NJP 14,
+    073007, 2012).  Sectors are ordered by their lowest basis index.
+    Each block generator is diagonalized once, after which evolution to
+    any time is a single reconstruction — no stiffness limit, which
+    matters for weak effective interactions whose gate times exceed the
+    fast oscillation period by many orders of magnitude.
     """
 
-    def __init__(self, model, sectors):
-        sectors = np.asarray(sectors)
-        if sectors.shape != (model.dim,):
-            raise ValueError("sector labels must cover the basis")
+    def __init__(self, model):
         mats = [model.hamiltonian] + [op for op, _ in model.active_jumps()]
-        mixing = max(
-            np.abs(m[sectors[:, None] != sectors[None, :]]).max(initial=0.0)
-            for m in mats)
-        if mixing > 1e-12:
-            raise ValueError(
-                "operators mix sectors (off-block weight %.3e)" % mixing)
+        support = np.zeros((model.dim, model.dim), dtype=bool)
+        for m in mats:
+            support |= m != 0
+        count, labels = connected_components(sp.csr_matrix(support),
+                                             directed=False)
         self.dim = model.dim
-        labels = sorted(set(sectors.tolist()))
-        self.blocks = [np.flatnonzero(sectors == l) for l in labels]
+        self.blocks = [np.flatnonzero(labels == k) for k in range(count)]
         self._h = [model.hamiltonian[np.ix_(b, b)] for b in self.blocks]
         self._jumps = [([op[np.ix_(b, b)] for b in self.blocks], rate)
                        for op, rate in model.active_jumps()]

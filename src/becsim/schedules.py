@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .registers import BecRegister, make_coherent, plus_x_state, tensor
-from .spin import CoherentParams, make_fock, spin_operator
+from .spin import CoherentParams, kron_product, make_fock, spin_operator
 
 MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
 
@@ -96,11 +96,8 @@ def map_qubit_schedule(qubit_steps: Sequence[GateStep], n_atoms: int) -> list[Ga
 
 def _term_matrix(term: SpinProductTerm, site_n: Sequence[int]) -> np.ndarray:
     axis_of = dict(term.factors)
-    mat = np.array([[term.coeff]], dtype=complex)
-    for site, n in enumerate(site_n):
-        op = spin_operator(axis_of.get(site, "I"), n).entries
-        mat = np.kron(mat, op)
-    return mat
+    return kron_product([spin_operator(axis_of.get(site, "I"), n).entries
+                         for site, n in enumerate(site_n)], term.coeff)
 
 
 def step_hamiltonian(step: GateStep, site_n: Sequence[int]) -> np.ndarray:

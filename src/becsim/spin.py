@@ -250,6 +250,18 @@ def spin_operator(axis: str, n_atoms: int, basis_tag: str | None = None) -> Oper
     return OperatorMatrix(dim, mat, tag, hermitian=axis != "0")
 
 
+def kron_product(mats, coeff: float = 1.0) -> np.ndarray:
+    """coeff times the Kronecker product of mats, the first factor slowest.
+
+    Embeds per-site operators in a multi-site register: site 0 varies
+    slowest, the ordering of register amplitudes.
+    """
+    out = np.array([[coeff]], dtype=complex)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
 def rotate(s: SpinState, n_vec, angle: float) -> SpinState:
     """Apply exp(-i angle (n . S)) via exact eigendecomposition."""
     n_vec = np.asarray(n_vec, dtype=float)

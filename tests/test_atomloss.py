@@ -11,8 +11,8 @@ from becsim.atomloss import (
     initial_decay_rate,
     integrate_loss_odes,
     lifetime_report,
-    loss_csv,
 )
+from becsim.cli import write_csv
 
 
 def test_default_lifetimes_orders_of_magnitude():
@@ -70,10 +70,12 @@ def test_params_validation():
         AtomLossParams(Na0=-1.0)
 
 
-def test_loss_csv_shape():
+def test_loss_csv_shape(tmp_path):
     times = np.array([0.0, 1.0])
-    text = loss_csv(times, np.array([5.0, 4.0]), np.array([5.0, 3.0]))
-    lines = text.splitlines()
+    path = tmp_path / "rates.csv"
+    write_csv(path, ["t", "Na", "Nb"],
+              zip(times, np.array([5.0, 4.0]), np.array([5.0, 3.0])))
+    lines = path.read_text().splitlines()
     assert lines[0].startswith("t,")
     assert len(lines) == 3
 

@@ -14,7 +14,6 @@ from becsim.channels import (
     build_loss_model,
     cavity_basis,
     cavity_initial_state,
-    cavity_sectors,
     cavity_sx1,
     CavityModel,
     embed_loss_state,
@@ -226,13 +225,18 @@ def test_cavity_model_validation():
 
 
 def test_cavity_sectors_conserved():
-    params = CavityModel(1, omega0=10.0, omega=0.0, cavity_g=1.0,
-                         gamma_c=0.5, n_ph_max=1)
-    model = build_cavity_model(params, 1.0)
-    basis = cavity_basis(1, 1, 2)
-    sectors = cavity_sectors(basis)
-    # constructing the propagator performs the sector-mixing audit
-    SectorPropagator(model, sectors)
+    # neither the drive, the cavity coupling nor photon decay touches
+    # mode a: the derived blocks are the (n_a1, n_a2) classes, in order
+    for n_atoms, n_ph_max in ((1, 1), (2, 2), (3, 2)):
+        params = CavityModel(n_atoms, omega0=10.0, omega=0.0, cavity_g=1.0,
+                             gamma_c=0.5, n_ph_max=n_ph_max)
+        model = build_cavity_model(params, 1.0)
+        basis = cavity_basis(n_atoms, n_ph_max, n_ph_max + 1)
+        labels = [(s[0], s[3]) for s in basis.states]
+        expected = [[i for i, l in enumerate(labels) if l == key]
+                    for key in sorted(set(labels))]
+        blocks = SectorPropagator(model).blocks
+        assert [b.tolist() for b in blocks] == expected
 
 
 def test_cavity_sector_evolution_matches_dense():
@@ -240,11 +244,11 @@ def test_cavity_sector_evolution_matches_dense():
                          gamma_c=0.4, n_ph_max=1)
     model = build_cavity_model(params, 1.0)
     basis = cavity_basis(1, 1, 2)
-    prop = SectorPropagator(model, cavity_sectors(basis))
+    prop = SectorPropagator(model)
     psi = cavity_initial_state(basis, 1)
     rho0 = np.outer(psi, psi.conj())
     t = 0.8
-    dense = propagate(model, rho0, t, method="expm")
+    dense = propagate(model, rho0, t)
     assert np.max(np.abs(prop.evolve(rho0, t) - dense)) < 1e-8
 
 

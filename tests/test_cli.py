@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from becsim.cli import COMMANDS, main, parse_config_file
+from becsim.cli import COMMANDS, main, parse_config_file, write_csv
 
 
 def read_csv(path):
@@ -14,6 +14,14 @@ def read_csv(path):
 def test_all_commands_registered():
     assert COMMANDS == ("fig2a", "fig2b", "fig4a", "fig4b", "fig4c", "fig4d",
                         "deutsch", "rates", "schedule", "selftest")
+
+
+def test_write_csv_keeps_every_digit(tmp_path):
+    out = tmp_path / "rows.csv"
+    write_csv(out, ["name", "n", "x"], [("a", 3, 1.0 / 3.0),
+                                        ("b", np.int64(4), np.float64(0.1))])
+    assert out.read_text() == ("name,n,x\na,3,0.33333333333333331\n"
+                               "b,4,0.10000000000000001\n")
 
 
 def test_unknown_command_exits_1(capsys):

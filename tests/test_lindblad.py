@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from becsim.channels import cavity_basis, loss_basis
+from becsim.cli import write_csv
 from becsim.errors import NumericalIntegrityError
 from becsim.lindblad import (
     EvolutionRecord,
@@ -52,6 +54,47 @@ def test_lower_truncates_at_capacity():
     assert a[1, 2] == pytest.approx(math.sqrt(2))
     # raising out of the truncated space contributes nothing
     assert np.max(np.abs(a.conj().T @ a - np.diag([0.0, 1.0, 2.0]))) < 1e-12
+
+
+def _ladder_by_loop(basis, create, destroy):
+    """Per-state loop over the basis: the oracle for OccupationBasis.ladder."""
+    d = basis.size
+    out = np.zeros((d, d), dtype=complex)
+    for j, s in enumerate(basis.states):
+        if any(s[m] == 0 for m in destroy):
+            continue
+        t = list(s)
+        elem = 1
+        for m in destroy:
+            elem *= t[m]
+            t[m] -= 1
+        for m in create:
+            t[m] += 1
+            elem *= t[m]
+        i = basis.index.get(tuple(t))
+        if i is not None:
+            out[i, j] = math.sqrt(elem)
+    return out
+
+
+def test_ladder_matches_per_state_loop_bitwise():
+    bases = [MultiModeBasis(3, 4), loss_basis(4), cavity_basis(2, 3, 4),
+             OccupationBasis(tuple((k,) for k in range(4)), "cap")]
+    for basis in bases:
+        modes = range(basis.mode_count)
+        cases = [((), (m,)) for m in modes]
+        cases += [((c,), (d,)) for c in modes for d in modes if c != d]
+        if basis.mode_count == 7:     # cavity: b+ c p+ on each BEC
+            cases += [((1, 6), (2,)), ((4, 6), (5,))]
+        for create, destroy in cases:
+            got = basis.ladder(create, destroy)
+            want = _ladder_by_loop(basis, create, destroy)
+            assert got.tobytes() == want.tobytes(), (basis.tag, create,
+                                                     destroy)
+        assert basis.lower(0).tobytes() == \
+            _ladder_by_loop(basis, (), (0,)).tobytes()
+    with pytest.raises(ValueError):
+        bases[0].ladder((0,), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +177,14 @@ def test_record_diagnostics_within_thresholds():
     assert np.nanmin(rec.min_eig) > -1e-8
 
 
+def test_record_failed_on_negative_min_eig():
+    kw = dict(times=np.array([0.0, 1.0]), observables={}, trace_dev=0.0,
+              herm_defect=0.0)
+    assert EvolutionRecord(min_eig=np.array([np.nan, -1e-3]), **kw).failed
+    assert not EvolutionRecord(min_eig=np.full(2, np.nan), **kw).failed
+    assert not EvolutionRecord(**kw).failed
+
+
 def test_propagate_matches_integrate_endpoint():
     sm, sz, _ = qubit_ops()
     model = LindbladModel(0.9 * sz, ((sm, 0.4),))
@@ -149,7 +200,7 @@ def test_to_csv_format(tmp_path):
                           observables={"a": np.array([0.5, 0.25])},
                           trace_dev=1e-12, herm_defect=1e-13)
     path = tmp_path / "rec.csv"
-    rec.to_csv(path)
+    write_csv(path, *rec.table())
     lines = path.read_text().splitlines()
     assert lines[0] == "t,a,trace_dev,herm_defect"
     assert len(lines) == 3
@@ -160,35 +211,27 @@ def test_to_csv_format(tmp_path):
 # sector propagation
 
 def test_sector_propagator_matches_dense():
-    # two modes, fixed total: the number operator sectors are preserved
-    # by a diagonal H plus a dephasing jump
+    # two modes, fixed total: a diagonal H plus a dephasing jump keep
+    # every Fock state its own sector
     basis = MultiModeBasis(2, 3)
     h = 0.8 * basis.number(0).astype(complex)
     jump = (basis.number(0) - basis.number(1)).astype(complex)
     model = LindbladModel(h, ((jump, 0.1),))
-    sectors = [s[0] for s in basis.states]
-    prop = SectorPropagator(model, sectors)
+    prop = SectorPropagator(model)
+    assert len(prop.blocks) == basis.size
     rng = np.random.default_rng(3)
     m = rng.normal(size=(basis.size, basis.size))
     rho0 = m @ m.T
     rho0 = (rho0 / np.trace(rho0)).astype(complex)
     t = 0.9
-    dense = propagate(model, rho0, t, method="expm")
+    dense = propagate(model, rho0, t)
     assert np.max(np.abs(prop.evolve(rho0, t) - dense)) < 1e-8
-
-
-def test_sector_propagator_rejects_mixing_operators():
-    basis = MultiModeBasis(2, 2)
-    h = (basis.transition(0, 1) + basis.transition(1, 0)).astype(complex)
-    model = LindbladModel(h)
-    with pytest.raises(ValueError):
-        SectorPropagator(model, [s[0] for s in basis.states])
 
 
 def test_observable_blocks_band_structure():
     basis = MultiModeBasis(2, 2)
     model = LindbladModel(basis.number(0).astype(complex))
-    prop = SectorPropagator(model, [s[0] for s in basis.states])
+    prop = SectorPropagator(model)
     hop = basis.transition(0, 1)
     pairs = prop.observable_blocks(hop + hop.conj().T)
     assert all(abs(i - j) == 1 for i, j in pairs)

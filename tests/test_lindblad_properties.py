@@ -1,0 +1,91 @@
+"""Property tests of the exact propagation paths on random small models.
+
+Each model hides a block structure behind a random permutation of the
+basis: random Hermitian blocks for H and 0-3 block-diagonal jumps.  In
+half the models H is diagonal and only the jumps (at least one) connect
+the states of a block, so the sectors must come from the jumps too.  The
+sectors SectorPropagator derives must recover the planted blocks, and
+sector evolution, `propagate`, the exact grid evaluator and DOP853 must
+agree on rho(t) while keeping its trace and Hermiticity.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from becsim.lindblad import (LindbladModel, SectorPropagator,
+                             integrate_master, propagate)
+
+
+def _random_block(rng, k):
+    return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+
+@st.composite
+def planted_models(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)
+                 .filter(lambda s: sum(s) <= 12))
+    h_dense = draw(st.booleans())
+    n_jumps = draw(st.integers(0 if h_dense else 1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = sum(sizes)
+    perm = rng.permutation(d)
+    cuts = np.cumsum(sizes)[:-1]
+    planted = [np.sort(b) for b in np.split(perm, cuts)]
+
+    def block_diagonal(make):
+        out = np.zeros((d, d), dtype=complex)
+        for b in planted:
+            out[np.ix_(b, b)] = make(b.size)
+        return out
+
+    if h_dense:
+        h = block_diagonal(lambda k: _random_block(rng, k))
+        h = 0.5 * (h + h.conj().T)
+    else:
+        h = np.diag(rng.normal(size=d)).astype(complex)
+    jumps = tuple((block_diagonal(lambda k: _random_block(rng, k)),
+                   float(rng.uniform(0.05, 1.0))) for _ in range(n_jumps))
+    m = _random_block(rng, d)
+    rho0 = m @ m.conj().T
+    rho0 /= np.trace(rho0)
+    obs = _random_block(rng, d)
+    obs = 0.5 * (obs + obs.conj().T)
+    obs /= np.linalg.norm(obs, 2)
+    t = draw(st.floats(0.1, 2.0))
+    return LindbladModel(h, jumps), planted, rho0, obs, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models())
+def test_derived_sectors_recover_planted_blocks(case):
+    model, planted, _, _, _ = case
+    blocks = SectorPropagator(model).blocks
+    labels = np.empty(model.dim, dtype=int)
+    for k, b in enumerate(blocks):
+        labels[b] = k
+    off_block = labels[:, None] != labels[None, :]
+    for m in [model.hamiltonian] + [op for op, _ in model.jumps]:
+        assert not np.any(m[off_block])
+    assert sorted(b.tolist() for b in blocks) == \
+        sorted(b.tolist() for b in planted)
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models())
+def test_sector_exact_and_dop853_agree(case):
+    model, _, rho0, obs, t = case
+    prop = SectorPropagator(model)
+    by_sector = prop.evolve(rho0, t)
+    exact = propagate(model, rho0, t)
+    for rho in (by_sector, exact):
+        assert abs(np.trace(rho) - 1.0) < 1e-9
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
+    assert np.max(np.abs(by_sector - exact)) < 1e-7
+
+    times = np.linspace(0.0, t, 3)
+    want = [np.real(np.trace(obs @ prop.evolve(rho0, s))) for s in times]
+    for method in ("expm", "rk"):
+        rec = integrate_master(model, rho0, t, 3, observables={"o": obs},
+                               method=method)
+        assert np.max(np.abs(rec.series("o") - want)) < 1e-7
