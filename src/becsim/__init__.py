@@ -5,138 +5,9 @@ condensates, quantum-algorithm mapping, and Lindblad models for
 dephasing, atom loss, and cavity-mediated gate decoherence.
 """
 
-from .errors import CapacityError, IntegrationError, NumericalIntegrityError
-from .spin import (
-    CoherentParams,
-    EffectiveCouplingParams,
-    OperatorMatrix,
-    SpinState,
-    effective_couplings,
-    fidelity,
-    make_coherent,
-    make_fock,
-    moments,
-    overlap_analytic,
-    overlap_numeric,
-    rotate,
-    spin_operator,
-)
-from .registers import (
-    BecRegister,
-    DensityMatrix,
-    apply_zz,
-    cat_decomposition,
-    cat_decomposition_check,
-    entangled_state_analytic,
-    entanglement_entropy,
-    number_fluctuation_error,
-    partial_trace,
-    plus_x_state,
-    register_fidelity,
-    schmidt_weights,
-    tensor,
-)
-from .schedules import (
-    ORACLE_IDS,
-    DeutschOracle,
-    GateStep,
-    SpinProductTerm,
-    format_schedule,
-    map_qubit_schedule,
-    parse_schedule,
-    run_deutsch,
-    run_schedule,
-)
-from .lindblad import (
-    EvolutionRecord,
-    LindbladModel,
-    MultiModeBasis,
-    OccupationBasis,
-    SectorPropagator,
-    fit_decay_rate,
-    integrate_master,
-    propagate,
-)
-from .channels import (
-    BusGateResult,
-    CavityModel,
-    build_cavity_model,
-    build_dephasing_model,
-    build_lambda_model,
-    build_loss_model,
-    run_fig4a,
-    run_fig4b,
-    run_fig4c,
-    run_fig4d,
-)
-from .atomloss import (
-    AtomLossParams,
-    initial_decay_rate,
-    integrate_loss_odes,
-    lifetime_report,
-)
+from .channels import build_dephasing_model, build_loss_model
+from .lindblad import fit_decay_rate, integrate_master
+from .registers import plus_x_state
+from .spin import make_fock
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomLossParams",
-    "BusGateResult",
-    "CapacityError",
-    "CavityModel",
-    "CoherentParams",
-    "DensityMatrix",
-    "DeutschOracle",
-    "EvolutionRecord",
-    "GateStep",
-    "IntegrationError",
-    "LindbladModel",
-    "MultiModeBasis",
-    "NumericalIntegrityError",
-    "OccupationBasis",
-    "OperatorMatrix",
-    "ORACLE_IDS",
-    "SectorPropagator",
-    "SpinProductTerm",
-    "SpinState",
-    "BecRegister",
-    "EffectiveCouplingParams",
-    "apply_zz",
-    "build_cavity_model",
-    "build_dephasing_model",
-    "build_lambda_model",
-    "build_loss_model",
-    "cat_decomposition",
-    "cat_decomposition_check",
-    "effective_couplings",
-    "entangled_state_analytic",
-    "entanglement_entropy",
-    "fidelity",
-    "fit_decay_rate",
-    "format_schedule",
-    "initial_decay_rate",
-    "integrate_loss_odes",
-    "integrate_master",
-    "lifetime_report",
-    "make_coherent",
-    "make_fock",
-    "map_qubit_schedule",
-    "moments",
-    "number_fluctuation_error",
-    "overlap_analytic",
-    "overlap_numeric",
-    "parse_schedule",
-    "partial_trace",
-    "plus_x_state",
-    "propagate",
-    "register_fidelity",
-    "rotate",
-    "run_deutsch",
-    "run_fig4a",
-    "run_fig4b",
-    "run_fig4c",
-    "run_fig4d",
-    "run_schedule",
-    "schmidt_weights",
-    "spin_operator",
-    "tensor",
-]

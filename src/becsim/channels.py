@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
-from .lindblad import (LindbladModel, MultiModeBasis, OccupationBasis,
-                       SectorPropagator, integrate_master, propagate,
-                       MAX_DENSITY_DIM)
-from .spin import kron_product, spin_operator, sqrt_binomial
+from .lindblad import (LindbladModel, SectorPropagator, integrate_master,
+                       propagate, MAX_DENSITY_DIM)
+# the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
+from .lindblad import oscillation_envelope_rate  # noqa: F401
+from .spin import (MultiModeBasis, OccupationBasis, kron_product,
+                   spin_operator, sqrt_binomial)
 
 AXIS_CONVENTIONS = ("caption", "paper-body")
 
@@ -34,8 +36,7 @@ def site_operator(m_sites, n_atoms, factors):
     sites get the identity.  Site 0 varies slowest, matching the register
     ordering used for pure states.
     """
-    return kron_product([spin_operator(factors.get(site, "I"),
-                                       n_atoms).entries
+    return kron_product([spin_operator(factors.get(site, "I"), n_atoms)
                          for site in range(m_sites)])
 
 
@@ -58,8 +59,7 @@ def build_dephasing_model(m_sites, n_atoms, axis, gamma, hamiltonian=None):
     jumps = tuple(
         (site_operator(m_sites, n_atoms, {n: axis}), gamma)
         for n in range(m_sites))
-    return LindbladModel(hamiltonian, jumps,
-                         basis_tag="fock%dx%d" % (m_sites, n_atoms))
+    return LindbladModel(hamiltonian, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def loss_basis(n_max):
     Fock convention.
     """
     states = [(na, n - na) for n in range(n_max + 1) for na in range(n + 1)]
-    return OccupationBasis(states, tag="loss-N%d" % n_max)
+    return OccupationBasis(states)
 
 
 def loss_site_operator(basis, m_sites, site, op):
@@ -85,14 +85,7 @@ def loss_site_operator(basis, m_sites, site, op):
 
 def loss_spin_operator(basis, axis):
     """Spin component acting sector-wise on a one-site loss basis."""
-    ab = basis.transition(0, 1)
-    if axis == "x":
-        return ab + ab.conj().T
-    if axis == "y":
-        return -1j * ab + 1j * ab.conj().T
-    if axis == "z":
-        return basis.number(0) - basis.number(1)
-    raise ValueError("axis must be x, y or z")
+    return basis.spin(axis)
 
 
 def embed_loss_state(state, basis):
@@ -123,7 +116,7 @@ def build_loss_model(m_sites, n_max, gamma_l, hamiltonian=None):
         for mode in (0, 1):
             jumps.append((loss_site_operator(basis, m_sites, site,
                                              basis.lower(mode)), gamma_l))
-    return LindbladModel(hamiltonian, tuple(jumps), basis_tag=basis.tag)
+    return LindbladModel(hamiltonian, tuple(jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -144,41 +137,13 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
     h = delta * basis.number(2) + g * (ac + ac.conj().T) \
         + g * (bc + bc.conj().T)
     jumps = ((ac, gamma_s), (bc, gamma_s))
-    return LindbladModel(h, jumps, basis_tag=basis.tag)
+    return LindbladModel(h, jumps)
 
 
 def lambda_observables(n_atoms):
     basis = MultiModeBasis(3, n_atoms)
-    ab = basis.transition(0, 1)
-    return {
-        "sz": basis.number(0) - basis.number(1),
-        "sx": ab + ab.conj().T,
-        "nc": basis.number(2),
-    }
-
-
-def oscillation_envelope_rate(record, name, frequency, tail_fraction=0.3):
-    """Decay rate of an oscillation around a slowly drifting background.
-
-    Subtracts a one-period moving average before peak detection (the
-    background otherwise biases the peak magnitudes), then fits the log
-    of the interpolated peak heights over the tail of the run, past the
-    initial transient where the decay has not yet reached its
-    asymptotic rate.
-    """
-    from .lindblad import _envelope_peaks
-    t = record.times
-    y = record.series(name)
-    period = 2.0 * math.pi / frequency
-    width = max(3, int(round(period / (t[1] - t[0]))))
-    trend = np.convolve(y, np.ones(width) / width, mode="same")
-    peaks = _envelope_peaks(t, y - trend)
-    pt = np.array([p[0] for p in peaks])
-    pa = np.array([p[1] for p in peaks])
-    keep = pt > tail_fraction * t[-1]
-    if keep.sum() < 3:
-        raise ValueError("too few envelope peaks in the fit window")
-    return float(-np.polyfit(pt[keep], np.log(pa[keep]), 1)[0])
+    return {"sz": basis.spin("z"), "sx": basis.spin("x"),
+            "nc": basis.number(2)}
 
 
 def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
@@ -271,7 +236,7 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=(), axis="caption"):
     Returns a list of (n_atoms, t, error).
     """
     model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2, axis)
-    reverse = LindbladModel(-model.hamiltonian, model.jumps, model.basis_tag)
+    reverse = LindbladModel(-model.hamiltonian, model.jumps)
     out = []
     for t in gate_times:
         rho_t = propagate(model, rho0, float(t))
@@ -334,8 +299,7 @@ def cavity_basis(n_atoms, n_ph_max, exc_max=None):
                 if exc_max is not None and s1[2] + s2[2] + ph > exc_max:
                     continue
                 states.append(s1 + s2 + (ph,))
-    return OccupationBasis(states, tag="cavity-N%d-ph%d-exc%s"
-                           % (n_atoms, n_ph_max, exc_max))
+    return OccupationBasis(states)
 
 
 def _site_states(n_atoms):
@@ -390,7 +354,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         bcp = basis.ladder((b_mode, 6), (c_mode,))
         h = h + g_g * (bcp + bcp.conj().T)
     jumps = ((basis.lower(6), params.gamma_c),) if params.gamma_c else ()
-    return LindbladModel(h, jumps, basis_tag=basis.tag)
+    return LindbladModel(h, jumps)
 
 
 def cavity_initial_state(basis, n_atoms):
@@ -409,8 +373,7 @@ def cavity_initial_state(basis, n_atoms):
 
 def cavity_sx1(basis, n_atoms):
     """<S^x> of BEC 1 in the (a, b) pseudospin, over the cavity basis."""
-    ab = basis.transition(0, 1)
-    return ab + ab.conj().T
+    return basis.spin("x")
 
 
 @dataclass
@@ -423,7 +386,6 @@ class BusGateResult:
     omega2_eff: float
     gate_time: float
     fitted_decoherence: float
-    converged: bool = True
     meta: dict = field(default_factory=dict)
 
 
@@ -479,14 +441,13 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
         basis = cavity_basis(n_atoms, ph_max, ph_max + 1)
         fwd = SectorPropagator(model)
         rev = SectorPropagator(
-            LindbladModel(-model.hamiltonian, model.jumps, model.basis_tag))
+            LindbladModel(-model.hamiltonian, model.jumps))
         psi = cavity_initial_state(basis, n_atoms)
         rho0 = np.outer(psi, psi.conj())
         sx1 = cavity_sx1(basis, n_atoms) / n_atoms
         return 1.0 - _sector_echo_series(fwd, rev, rho0, sx1, gate_times)
 
     errs = errors_at(n_ph_max)
-    converged = True
     if convergence_check:
         errs_hi = errors_at(n_ph_max + 1)
         if np.max(np.abs(errs_hi - errs)) >= 1e-4:
@@ -502,7 +463,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     else:
         fitted = float("nan")
     return BusGateResult(n_atoms, gate_times, errs, omega2_eff, gate_time,
-                         fitted, converged,
+                         fitted,
                          meta={"cavity_g": cavity_g, "delta": delta,
                                "gamma_c": gamma_c, "g_laser": g_laser,
                                "n_ph_max": n_ph_max})

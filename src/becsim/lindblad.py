@@ -12,6 +12,7 @@ in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.stats import linregress
 
 from .errors import CapacityError, IntegrationError
+# the occupation bases live with the Fock basis; perfbench/tracing.py
+# wraps OccupationBasis methods under this module's name
+from .spin import OccupationBasis  # noqa: F401
 
 # Full density-matrix integration ceiling (matrix side length).
 MAX_DENSITY_DIM = 2500
@@ -40,102 +44,8 @@ RK_TOL = 1e-9
 MIN_EIG_DIM = 256
 MIN_EIG_SAMPLES = 16
 
-
-def enumerate_occupations(mode_count, total_n):
-    """All occupation tuples (n_1..n_modes) with sum n_i = total_n.
-
-    Ordered with the first mode ascending slowest, matching the two-mode
-    Fock convention (bosons in the first mode, ascending).
-    """
-    if mode_count == 1:
-        return [(total_n,)]
-    out = []
-    for n1 in range(total_n + 1):
-        for rest in enumerate_occupations(mode_count - 1, total_n - n1):
-            out.append((n1,) + rest)
-    return out
-
-
-class OccupationBasis:
-    """A list of bosonic occupation tuples with ladder-operator matrices.
-
-    Holds any enumerated set of occupation states (fixed total number or
-    not), as long as the set is closed under whatever operators are built
-    on it: matrix elements leading outside the set are dropped, which is
-    the truncation.
-    """
-
-    def __init__(self, states, tag=""):
-        states = [tuple(int(n) for n in s) for s in states]
-        if not states:
-            raise ValueError("empty basis")
-        mode_count = len(states[0])
-        if any(len(s) != mode_count for s in states):
-            raise ValueError("inconsistent mode count across states")
-        if any(n < 0 for s in states for n in s):
-            raise ValueError("negative occupation")
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate states in basis")
-        self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.mode_count = mode_count
-        self.tag = tag or "occ%dx%d" % (mode_count, len(states))
-
-    @property
-    def size(self):
-        return len(self.states)
-
-    def number(self, mode):
-        return np.diag([float(s[mode]) for s in self.states]).astype(complex)
-
-    def lower(self, mode):
-        """Annihilation operator for one mode, truncated to the basis."""
-        return self.ladder((), (mode,))
-
-    def transition(self, create_mode, destroy_mode):
-        """Matrix of  a+_create a_destroy, truncated to the basis."""
-        return self.ladder((create_mode,), (destroy_mode,))
-
-    def ladder(self, create=(), destroy=()):
-        """Matrix of  prod_c a+_c prod_d a_d  over distinct modes.
-
-        Column s maps to row s + create - destroy with element
-        sqrt(prod_d n_d prod_c (n_c + 1)); rows outside the basis are
-        dropped, which is the truncation.
-        """
-        modes = list(create) + list(destroy)
-        if len(set(modes)) != len(modes):
-            raise ValueError("ladder modes must be distinct")
-        occ = np.array(self.states)
-        step = np.zeros(self.mode_count, dtype=int)
-        step[list(create)] = 1
-        step[list(destroy)] = -1
-        target = occ + step
-        factors = np.where(step > 0, target, np.where(step < 0, occ, 1))
-        # one sqrt of an exact integer product per element
-        elem = np.sqrt(np.prod(factors, axis=1))
-        rows = np.array([self.index.get(tuple(t), -1)
-                         for t in target.tolist()])
-        cols = np.flatnonzero(rows >= 0)
-        out = np.zeros((self.size, self.size), dtype=complex)
-        out[rows[cols], cols] = elem[cols]
-        return out
-
-
-class MultiModeBasis(OccupationBasis):
-    """All distributions of a fixed boson number over several modes.
-
-    Size is C(total_n + mode_count - 1, mode_count - 1); for three modes
-    that is (N+1)(N+2)/2.  Number-conserving operators (transitions,
-    mode numbers) close exactly on this basis.
-    """
-
-    def __init__(self, mode_count, total_n):
-        if mode_count < 1 or total_n < 0:
-            raise ValueError("need mode_count >= 1 and total_n >= 0")
-        states = enumerate_occupations(mode_count, total_n)
-        super().__init__(states, tag="modes%d-N%d" % (mode_count, total_n))
-        self.total_n = total_n
+# oscillation_envelope_rate fits only peaks after this fraction of the run
+ENVELOPE_TAIL = 0.3
 
 
 @dataclass(frozen=True)
@@ -144,7 +54,6 @@ class LindbladModel:
 
     hamiltonian: np.ndarray
     jumps: tuple = ()
-    basis_tag: str = ""
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -483,6 +392,19 @@ def _envelope_peaks(t, y):
     return peaks
 
 
+def _peak_log_slope(t, y, t_min=-np.inf):
+    """Slope of log peak height against peak time, and the peak count.
+
+    Peaks are the interpolated maxima of |y| later than t_min; the slope
+    is None when fewer than 3 remain.
+    """
+    peaks = [p for p in _envelope_peaks(t, y) if p[0] > t_min]
+    if len(peaks) < 3:
+        return None, len(peaks)
+    pt, pa = np.array(peaks).T
+    return linregress(pt, np.log(pa)).slope, len(peaks)
+
+
 def fit_decay_rate(record, observable):
     """Exponential decay rate of one recorded observable.
 
@@ -494,20 +416,36 @@ def fit_decay_rate(record, observable):
     if t.size < 10:
         raise ValueError("need at least 10 samples to fit")
     y = record.series(observable)
-    peaks = _envelope_peaks(t, y)
-    if len(peaks) >= 3:
-        pt = np.array([p[0] for p in peaks])
-        pa = np.array([p[1] for p in peaks])
-        res = linregress(pt, np.log(pa))
-        quality, npts = "envelope", len(peaks)
-    else:
+    slope, npts = _peak_log_slope(t, y)
+    quality = "envelope"
+    if slope is None:
         a = np.abs(y)
         mask = a > 1e-8 * max(1.0, a.max())
         if mask.sum() < 3:
             return DecayFit(0.0, "none", 0)
-        res = linregress(t[mask], np.log(a[mask]))
+        slope = linregress(t[mask], np.log(a[mask])).slope
         quality, npts = "direct", int(mask.sum())
-    rate = -res.slope
+    rate = -slope
     if rate <= 0.0:
         return DecayFit(0.0, "none", npts)
     return DecayFit(float(rate), quality, npts)
+
+
+def oscillation_envelope_rate(record, name, frequency):
+    """Decay rate of an oscillation around a slowly drifting background.
+
+    Subtracts a one-period moving average before peak detection (the
+    background otherwise biases the peak magnitudes), then fits the log
+    of the interpolated peak heights over the last 1 - ENVELOPE_TAIL of
+    the run, past the initial transient where the decay has not yet
+    reached its asymptotic rate.
+    """
+    t = record.times
+    y = record.series(name)
+    period = 2.0 * math.pi / frequency
+    width = max(3, int(round(period / (t[1] - t[0]))))
+    trend = np.convolve(y, np.ones(width) / width, mode="same")
+    slope, _ = _peak_log_slope(t, y - trend, ENVELOPE_TAIL * t[-1])
+    if slope is None:
+        raise ValueError("too few envelope peaks in the fit window")
+    return float(-slope)

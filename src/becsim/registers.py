@@ -63,14 +63,12 @@ class BecRegister:
 class DensityMatrix:
     """Mixed state over an enumerated basis, validated on construction."""
 
-    dim: int
     entries: np.ndarray
-    basis_tag: str = ""
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"entries must be square, got shape {entries.shape}")
         tr = complex(np.trace(entries))
         if abs(tr - 1.0) > 1e-10:
             raise NumericalIntegrityError(f"trace deviates from 1 by {abs(tr - 1.0)}")
@@ -79,6 +77,10 @@ class DensityMatrix:
             raise NumericalIntegrityError(f"Hermiticity defect {herm}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         w = np.linalg.eigvalsh(self.entries)
@@ -167,7 +169,7 @@ def partial_trace(reg: BecRegister, keep_site: int) -> DensityMatrix:
     # symmetrize away rounding noise before the invariant checks
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    return DensityMatrix(rho.shape[0], rho, basis_tag=f"fock<N={reg.site_n[keep_site]}>")
+    return DensityMatrix(rho)
 
 
 def entropy(rho: DensityMatrix) -> EntropyResult:

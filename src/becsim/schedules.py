@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .registers import BecRegister, make_coherent, plus_x_state, tensor
-from .spin import CoherentParams, kron_product, make_fock, spin_operator
+from .registers import BecRegister, plus_x_state, tensor
+from .spin import kron_product, make_fock, spin_operator
 
 MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
 
@@ -96,7 +96,7 @@ def map_qubit_schedule(qubit_steps: Sequence[GateStep], n_atoms: int) -> list[Ga
 
 def _term_matrix(term: SpinProductTerm, site_n: Sequence[int]) -> np.ndarray:
     axis_of = dict(term.factors)
-    return kron_product([spin_operator(axis_of.get(site, "I"), n).entries
+    return kron_product([spin_operator(axis_of.get(site, "I"), n)
                          for site, n in enumerate(site_n)], term.coeff)
 
 
@@ -189,7 +189,7 @@ def run_deutsch(oracle: DeutschOracle) -> tuple[str, float]:
         [plus_x_state(n), make_fock(n, n)]
     )
     final = run_schedule(start, oracle.steps())
-    sx = spin_operator("x", n).entries
+    sx = spin_operator("x", n)
     tens = final.as_tensor()
     rho1 = np.tensordot(tens, tens.conj(), axes=([1], [1]))
     readout = float(np.real(np.trace(sx @ rho1))) / n

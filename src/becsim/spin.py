@@ -6,6 +6,10 @@ number of bosons in mode ``a`` (ascending, ``k = 0..N``), which makes ``Sz``
 diagonal with entries ``2k - N``.  The spin operators use the convention
 without the conventional factor of 1/2, so ``[Sx, Sy] = 2i Sz`` and
 ``Sx^2 + Sy^2 + Sz^2 = N(N+2)``.
+
+The bosonic occupation bases (``OccupationBasis``, ``MultiModeBasis``) live
+here too: their ladder operators build every spin, Hamiltonian and jump
+matrix of the package, as plain arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -121,27 +125,6 @@ class SpinState:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """A dense complex matrix together with the basis it acts on."""
-
-    dim: int
-    entries: np.ndarray
-    basis_tag: str
-    hermitian: bool = False
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
-        if self.hermitian:
-            defect = np.max(np.abs(entries - entries.conj().T))
-            if defect > 1e-12:
-                raise ValueError(f"matrix flagged Hermitian has defect {defect}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
 class EffectiveCouplingParams:
     """Inputs of the adiabatic-elimination coupling formulas.
 
@@ -223,31 +206,125 @@ def overlap_analytic(p1: CoherentParams, p2: CoherentParams) -> complex:
     return gp * cmath.exp(-1j * dphi * n / 2) * base**n
 
 
-def spin_operator(axis: str, n_atoms: int, basis_tag: str | None = None) -> OperatorMatrix:
-    """Collective spin operator Sx, Sy or Sz on the (N+1)-dim Fock basis."""
+def enumerate_occupations(mode_count, total_n):
+    """All occupation tuples (n_1..n_modes) with sum n_i = total_n.
+
+    Ordered with the first mode ascending slowest, matching the two-mode
+    Fock convention (bosons in the first mode, ascending).
+    """
+    if mode_count == 1:
+        return [(total_n,)]
+    out = []
+    for n1 in range(total_n + 1):
+        for rest in enumerate_occupations(mode_count - 1, total_n - n1):
+            out.append((n1,) + rest)
+    return out
+
+
+class OccupationBasis:
+    """A list of bosonic occupation tuples with ladder-operator matrices.
+
+    Holds any enumerated set of occupation states (fixed total number or
+    not), as long as the set is closed under whatever operators are built
+    on it: matrix elements leading outside the set are dropped, which is
+    the truncation.
+    """
+
+    def __init__(self, states):
+        states = [tuple(int(n) for n in s) for s in states]
+        if not states:
+            raise ValueError("empty basis")
+        mode_count = len(states[0])
+        if any(len(s) != mode_count for s in states):
+            raise ValueError("inconsistent mode count across states")
+        if any(n < 0 for s in states for n in s):
+            raise ValueError("negative occupation")
+        if len(set(states)) != len(states):
+            raise ValueError("duplicate states in basis")
+        self.states = tuple(states)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.mode_count = mode_count
+
+    @property
+    def size(self):
+        return len(self.states)
+
+    def number(self, mode):
+        return np.diag([float(s[mode]) for s in self.states]).astype(complex)
+
+    def lower(self, mode):
+        """Annihilation operator for one mode, truncated to the basis."""
+        return self.ladder((), (mode,))
+
+    def transition(self, create_mode, destroy_mode):
+        """Matrix of  a+_create a_destroy, truncated to the basis."""
+        return self.ladder((create_mode,), (destroy_mode,))
+
+    def ladder(self, create=(), destroy=()):
+        """Matrix of  prod_c a+_c prod_d a_d  over distinct modes.
+
+        Column s maps to row s + create - destroy with element
+        sqrt(prod_d n_d prod_c (n_c + 1)); rows outside the basis are
+        dropped, which is the truncation.
+        """
+        modes = list(create) + list(destroy)
+        if len(set(modes)) != len(modes):
+            raise ValueError("ladder modes must be distinct")
+        occ = np.array(self.states)
+        step = np.zeros(self.mode_count, dtype=int)
+        step[list(create)] = 1
+        step[list(destroy)] = -1
+        target = occ + step
+        factors = np.where(step > 0, target, np.where(step < 0, occ, 1))
+        # one sqrt of an exact integer product per element
+        elem = np.sqrt(np.prod(factors, axis=1))
+        rows = np.array([self.index.get(tuple(t), -1)
+                         for t in target.tolist()])
+        cols = np.flatnonzero(rows >= 0)
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[rows[cols], cols] = elem[cols]
+        return out
+
+    def spin(self, axis):
+        """Collective spin of modes 0 (a) and 1 (b) on this basis.
+
+        S^x = a+b + b+a, S^y = -i a+b + i b+a, S^z = n_a - n_b.
+        """
+        if axis == "z":
+            return self.number(0) - self.number(1)
+        ab = self.transition(0, 1)
+        if axis == "x":
+            return ab + ab.conj().T
+        if axis == "y":
+            return -1j * ab + 1j * ab.conj().T
+        raise ValueError(f"axis must be x, y or z; got {axis!r}")
+
+
+class MultiModeBasis(OccupationBasis):
+    """All distributions of a fixed boson number over several modes.
+
+    Size is C(total_n + mode_count - 1, mode_count - 1); for three modes
+    that is (N+1)(N+2)/2.  Number-conserving operators (transitions,
+    mode numbers) close exactly on this basis.
+    """
+
+    def __init__(self, mode_count, total_n):
+        if mode_count < 1 or total_n < 0:
+            raise ValueError("need mode_count >= 1 and total_n >= 0")
+        super().__init__(enumerate_occupations(mode_count, total_n))
+        self.total_n = total_n
+
+
+def spin_operator(axis: str, n_atoms: int) -> np.ndarray:
+    """Collective spin operator Sx, Sy or Sz on the (N+1)-dim Fock basis.
+
+    axis "I" gives the identity, the factor of sites a product omits.
+    """
     if n_atoms < 1:
         raise ValueError("n_atoms must be >= 1")
-    n = n_atoms
-    dim = n + 1
-    k = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    if axis == "z":
-        mat[k, k] = 2 * k - n
-    elif axis in ("x", "y"):
-        # <k+1| a^+ b |k> = sqrt((k+1)(N-k))
-        up = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
-        if axis == "x":
-            mat[k[:-1] + 1, k[:-1]] = up
-            mat[k[:-1], k[:-1] + 1] = up
-        else:
-            mat[k[:-1] + 1, k[:-1]] = -1j * up
-            mat[k[:-1], k[:-1] + 1] = 1j * up
-    elif axis in ("I", "0"):
-        mat[k, k] = 1.0
-    else:
-        raise ValueError(f"axis must be one of x, y, z, I; got {axis!r}")
-    tag = basis_tag if basis_tag is not None else f"fock<N={n}>"
-    return OperatorMatrix(dim, mat, tag, hermitian=axis != "0")
+    if axis == "I":
+        return np.eye(n_atoms + 1, dtype=complex)
+    return MultiModeBasis(2, n_atoms).spin(axis)
 
 
 def kron_product(mats, coeff: float = 1.0) -> np.ndarray:
@@ -268,9 +345,9 @@ def rotate(s: SpinState, n_vec, angle: float) -> SpinState:
     if n_vec.shape != (3,) or abs(np.linalg.norm(n_vec) - 1.0) > 1e-9:
         raise ValueError("rotation axis must be a unit 3-vector")
     gen = (
-        n_vec[0] * spin_operator("x", s.n_atoms).entries
-        + n_vec[1] * spin_operator("y", s.n_atoms).entries
-        + n_vec[2] * spin_operator("z", s.n_atoms).entries
+        n_vec[0] * spin_operator("x", s.n_atoms)
+        + n_vec[1] * spin_operator("y", s.n_atoms)
+        + n_vec[2] * spin_operator("z", s.n_atoms)
     )
     evals, evecs = np.linalg.eigh(gen)
     amps = evecs @ (np.exp(-1j * angle * evals) * (evecs.conj().T @ s.amps))
@@ -281,9 +358,9 @@ def moments(s: SpinState) -> tuple[np.ndarray, float]:
     """Mean spin vector (<Sx>, <Sy>, <Sz>) and the variance of Sz."""
     mean = np.empty(3)
     for i, axis in enumerate("xyz"):
-        op = spin_operator(axis, s.n_atoms).entries
+        op = spin_operator(axis, s.n_atoms)
         mean[i] = np.real(np.vdot(s.amps, op @ s.amps))
-    sz = spin_operator("z", s.n_atoms).entries
+    sz = spin_operator("z", s.n_atoms)
     sz2 = np.real(np.vdot(s.amps, sz @ (sz @ s.amps)))
     return mean, float(sz2 - mean[2] ** 2)
 

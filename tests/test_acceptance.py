@@ -83,7 +83,7 @@ def test_criterion_01_spin_algebra():
     worst = 0.0
     pairs = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
     for n in range(1, 31):
-        ops = {a: spin_operator(a, n).entries for a in "xyz"}
+        ops = {a: spin_operator(a, n) for a in "xyz"}
         for (a, b), c in pairs.items():
             comm = ops[a] @ ops[b] - ops[b] @ ops[a]
             worst = max(worst, float(np.max(np.abs(comm - 2j * ops[c]))))

@@ -51,7 +51,7 @@ def plus_x_rho(m_sites, n_atoms):
 def test_site_operator_embedding():
     n = 2
     op = site_operator(2, n, {1: "z"})
-    expected = np.kron(np.eye(n + 1), spin_operator("z", n).entries)
+    expected = np.kron(np.eye(n + 1), spin_operator("z", n))
     assert np.max(np.abs(op - expected)) < 1e-12
 
 
@@ -59,7 +59,7 @@ def test_site_operator_embedding():
 def test_dephasing_sx_decay_rate(n):
     gamma = 0.05
     model = build_dephasing_model(1, n, "z", gamma)
-    sx = spin_operator("x", n).entries / n
+    sx = spin_operator("x", n) / n
     rec = integrate_master(model, plus_x_rho(1, n), 20.0, 201,
                            observables={"sx": sx})
     rate = float(fit_decay_rate(rec, "sx"))

@@ -11,14 +11,13 @@ from becsim.errors import NumericalIntegrityError
 from becsim.lindblad import (
     EvolutionRecord,
     LindbladModel,
-    MultiModeBasis,
-    OccupationBasis,
     SectorPropagator,
-    enumerate_occupations,
     fit_decay_rate,
     integrate_master,
+    oscillation_envelope_rate,
     propagate,
 )
+from becsim.spin import MultiModeBasis, OccupationBasis, enumerate_occupations
 
 
 def qubit_ops():
@@ -49,7 +48,7 @@ def test_multimode_number_and_transition():
 
 
 def test_lower_truncates_at_capacity():
-    basis = OccupationBasis(tuple((k,) for k in range(3)), "cap")
+    basis = OccupationBasis(tuple((k,) for k in range(3)))
     a = basis.lower(0)
     assert a[1, 2] == pytest.approx(math.sqrt(2))
     # raising out of the truncated space contributes nothing
@@ -79,7 +78,7 @@ def _ladder_by_loop(basis, create, destroy):
 
 def test_ladder_matches_per_state_loop_bitwise():
     bases = [MultiModeBasis(3, 4), loss_basis(4), cavity_basis(2, 3, 4),
-             OccupationBasis(tuple((k,) for k in range(4)), "cap")]
+             OccupationBasis(tuple((k,) for k in range(4)))]
     for basis in bases:
         modes = range(basis.mode_count)
         cases = [((), (m,)) for m in modes]
@@ -89,8 +88,8 @@ def test_ladder_matches_per_state_loop_bitwise():
         for create, destroy in cases:
             got = basis.ladder(create, destroy)
             want = _ladder_by_loop(basis, create, destroy)
-            assert got.tobytes() == want.tobytes(), (basis.tag, create,
-                                                     destroy)
+            assert got.tobytes() == want.tobytes(), (basis.states[-1],
+                                                     create, destroy)
         assert basis.lower(0).tobytes() == \
             _ladder_by_loop(basis, (), (0,)).tobytes()
     with pytest.raises(ValueError):
@@ -263,3 +262,20 @@ def test_fit_decay_rate_flat_signal():
                           trace_dev=0.0, herm_defect=0.0)
     fit = fit_decay_rate(rec, "y")
     assert float(fit) == 0.0
+
+
+def test_envelope_rate_detrends_and_fits_the_tail():
+    # damped cosine riding on a slow drift; only peaks past ENVELOPE_TAIL
+    # of the run enter the fit
+    t = np.linspace(0.0, 40.0, 4000)
+    y = 0.5 - 0.01 * t + np.exp(-0.21 * t) * np.cos(3.0 * t)
+    rec = EvolutionRecord(times=t, observables={"y": y},
+                          trace_dev=0.0, herm_defect=0.0)
+    assert oscillation_envelope_rate(rec, "y", 3.0) == \
+        pytest.approx(0.21, rel=1e-2)
+    # two periods, both before the window opens
+    short = np.where(t < 4.2, y, y[0])
+    rec = EvolutionRecord(times=t, observables={"y": short},
+                          trace_dev=0.0, herm_defect=0.0)
+    with pytest.raises(ValueError):
+        oscillation_envelope_rate(rec, "y", 3.0)

@@ -4,9 +4,13 @@ perfbench/tracing.py wraps functions, methods and kernels by name when it
 is imported and installed; a refactor that deletes or renames one of them
 breaks the benchmark.  This imports the benchmark modules, installs the
 tracer, checks the wrapped methods keep the signatures its hooks rely on,
-and restores every name.
+and restores every name.  perfbench/operations.py reads its `becsim.<name>`
+and `channels.<name>` attributes only when an operation runs, so those are
+checked from its source.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import pathlib
@@ -47,3 +51,18 @@ def test_tracer_installs_and_uninstalls():
         ["self", "x", "i", "j", "t"]
     assert list(inspect.signature(prop.observable_blocks).parameters) == \
         ["self", "operator"]
+
+
+def test_operations_names_resolve():
+    tree = ast.parse((PERFBENCH / "operations.py").read_text("utf-8"))
+    modules = {"becsim": importlib.import_module("becsim"),
+               "channels": importlib.import_module("becsim.channels")}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("becsim", "integrate_master") in read
+    assert ("channels", "loss_spin_operator") in read
+    missing = sorted("%s.%s" % key for key in read
+                     if not hasattr(modules[key[0]], key[1]))
+    assert not missing, missing

@@ -134,10 +134,12 @@ def test_cat_decomposition_two_branches():
 
 def test_density_matrix_validation():
     with pytest.raises(NumericalIntegrityError):
-        DensityMatrix(2, np.diag([0.7, 0.7]))
+        DensityMatrix(np.diag([0.7, 0.7]))
     bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
     with pytest.raises(NumericalIntegrityError):
-        DensityMatrix(2, bad)
+        DensityMatrix(bad)
+    with pytest.raises(ValueError):
+        DensityMatrix(np.eye(2, 3) / 2)
 
 
 def test_register_fidelity_phase_invariant():

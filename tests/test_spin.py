@@ -40,7 +40,7 @@ def test_log_binomial_large_n_no_overflow():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 def test_commutators_factor_two_convention(n):
-    ops = {a: spin_operator(a, n).entries for a in "xyz"}
+    ops = {a: spin_operator(a, n) for a in "xyz"}
     for (a, b), c in EPS.items():
         comm = ops[a] @ ops[b] - ops[b] @ ops[a]
         assert np.max(np.abs(comm - 2j * ops[c])) < 1e-10
@@ -49,21 +49,53 @@ def test_commutators_factor_two_convention(n):
 @pytest.mark.parametrize("n", [1, 3, 10])
 def test_casimir(n):
     total = sum(
-        spin_operator(a, n).entries @ spin_operator(a, n).entries for a in "xyz")
+        spin_operator(a, n) @ spin_operator(a, n) for a in "xyz")
     assert np.max(np.abs(total - n * (n + 2) * np.eye(n + 1))) < 1e-10
 
 
 def test_spin_operators_hermitian():
     for a in "xyz":
-        m = spin_operator(a, 7).entries
+        m = spin_operator(a, 7)
         assert np.max(np.abs(m - m.conj().T)) == 0.0
+
+
+def _spin_closed_form(axis, n):
+    """<k+1| a+b |k> = sqrt((k+1)(N-k)), S^z = 2k - N: the oracle."""
+    k = np.arange(n + 1)
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    up = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
+    if axis == "x":
+        mat[k[:-1] + 1, k[:-1]] = up
+        mat[k[:-1], k[:-1] + 1] = up
+    elif axis == "y":
+        mat[k[:-1] + 1, k[:-1]] = -1j * up
+        mat[k[:-1], k[:-1] + 1] = 1j * up
+    elif axis == "z":
+        mat[k, k] = 2 * k - n
+    else:
+        mat[k, k] = 1.0
+    return mat
+
+
+def test_spin_operator_matches_closed_form_bitwise():
+    for n in range(1, 31):
+        for axis in "xyzI":
+            got = spin_operator(axis, n)
+            want = _spin_closed_form(axis, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (axis, n)
+    for bad in ("0", "w"):
+        with pytest.raises(ValueError):
+            spin_operator(bad, 3)
+    with pytest.raises(ValueError):
+        spin_operator("x", 0)
 
 
 def test_fock_state_is_sz_eigenstate():
     n = 6
     for k in range(n + 1):
         s = make_fock(k, n)
-        sz = spin_operator("z", n).entries
+        sz = spin_operator("z", n)
         # k bosons in mode a: eigenvalue 2k - N
         assert np.max(np.abs(sz @ s.amps - (2 * k - n) * s.amps)) < 1e-12
 
