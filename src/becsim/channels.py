@@ -155,12 +155,11 @@ def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
     oscillates at angular frequency 2g^2/Delta while spontaneous
     emission damps the envelope.
     """
+    expected = g ** 2 * gamma_s * (n_atoms + 1) / delta ** 2
     if t_end is None:
-        expected = g ** 2 * gamma_s * (n_atoms + 1) / delta ** 2
-        if expected > 0:
-            t_end = 3.0 / expected          # a few decay times
-        else:
-            t_end = 8.0 * math.pi * delta / g ** 2   # a few Rabi periods
+        # a few decay times, or a few Rabi periods when nothing decays
+        t_end = (3.0 / expected if expected > 0
+                 else 8.0 * math.pi * delta / g ** 2)
     model = build_lambda_model(n_atoms, g, delta, gamma_s)
     basis = MultiModeBasis(3, n_atoms)
     rho0 = np.zeros((basis.size,) * 2, dtype=complex)
@@ -172,8 +171,7 @@ def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
                                         "nc": obs["nc"]})
     rec.meta.update(n_atoms=n_atoms, g=g, delta=delta, gamma_s=gamma_s,
                     rabi_frequency=2.0 * g ** 2 / delta,
-                    expected_decay=g ** 2 * gamma_s * (n_atoms + 1)
-                    / delta ** 2)
+                    expected_decay=expected)
     return rec
 
 
@@ -292,7 +290,8 @@ def cavity_basis(n_atoms, n_ph_max, exc_max=None):
     the dynamics qualitatively (exc_max=1 removes them).
     """
     states = []
-    site = [s for s in _site_states(n_atoms)]
+    site = [(na, nb, n_atoms - na - nb) for na in range(n_atoms + 1)
+            for nb in range(n_atoms + 1 - na)]
     for s1 in site:
         for s2 in site:
             for ph in range(n_ph_max + 1):
@@ -300,12 +299,6 @@ def cavity_basis(n_atoms, n_ph_max, exc_max=None):
                     continue
                 states.append(s1 + s2 + (ph,))
     return OccupationBasis(states)
-
-
-def _site_states(n_atoms):
-    for na in range(n_atoms + 1):
-        for nb in range(n_atoms + 1 - na):
-            yield (na, nb, n_atoms - na - nb)
 
 
 def build_cavity_model(params, g_laser, exc_max="auto"):
@@ -332,7 +325,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
     states removed (exc_max=1).  Echo errors of this model are
     dominated by that leakage rather than by the adiabatic-elimination
     dephasing g^2 G^2 gamma_c / (4 Delta^4); the default exc_max keeps
-    these states.
+    these states.  Returns (model, basis).
     """
     delta = params.detuning
     if exc_max == "auto":
@@ -354,7 +347,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         bcp = basis.ladder((b_mode, 6), (c_mode,))
         h = h + g_g * (bcp + bcp.conj().T)
     jumps = ((basis.lower(6), params.gamma_c),) if params.gamma_c else ()
-    return LindbladModel(h, jumps)
+    return LindbladModel(h, jumps), basis
 
 
 def cavity_initial_state(basis, n_atoms):
@@ -389,30 +382,35 @@ class BusGateResult:
     meta: dict = field(default_factory=dict)
 
 
-def _sector_echo_series(fwd, rev, rho0, readout, times):
+def _sector_echo_series(prop, rho0, readout, times):
     """Tr(readout rho) after forward-then-reversed sector evolution.
 
-    Only density-matrix blocks the readout pairs with are evolved;
-    Hermitian symmetry folds the (j, i) block into 2 Re of the (i, j)
-    contribution.  Block eigendecompositions are dropped as soon as a
-    block is finished so memory stays bounded by a single block pair.
+    For real H and jumps (else ValueError) the reversed model's (-H, same
+    jumps) block generator is the conjugate of the forward one, so each
+    block's (w, V, V^-1), computed once and held only while that block
+    runs, reverses as (conj w, conj V, conj V^-1).  Only blocks the
+    readout pairs with are evolved; Hermitian symmetry folds the (j, i)
+    block into 2 Re of the (i, j) contribution.
     """
+    if any(np.any(m.imag) for m in prop.operators):
+        raise ValueError("the reversed echo needs a real H and real jumps")
     times = np.asarray(times, dtype=float)
-    pairs = set(fwd.observable_blocks(readout))
+    pairs = set(prop.observable_blocks(readout))
     vals = np.zeros(times.size)
     for i, j in sorted(pairs):
         if i > j and (j, i) in pairs:
             continue
         weight = 2.0 if (i != j and (j, i) in pairs) else 1.0
-        bi, bj = fwd.blocks[i], fwd.blocks[j]
-        x0 = rho0[np.ix_(bi, bj)]
+        bi, bj = prop.blocks[i], prop.blocks[j]
+        x0 = rho0[np.ix_(bi, bj)].reshape(-1)
         o_blk = readout[np.ix_(bj, bi)]
+        w, v, vinv = prop.block_eig(i, j)
+        w_r, v_r, vinv_r = w.conj(), v.conj(), vinv.conj()
         for k, t in enumerate(times):
-            xt = fwd.evolve_block(x0, i, j, t)
-            yt = rev.evolve_block(xt, i, j, t)
-            vals[k] += weight * float(np.real(np.trace(o_blk @ yt)))
-        fwd._eig.pop((i, j), None)
-        rev._eig.pop((i, j), None)
+            xt = v @ (np.exp(w * t) * (vinv @ x0))
+            yt = v_r @ (np.exp(w_r * t) * (vinv_r @ xt))
+            vals[k] += weight * float(np.real(np.trace(
+                o_blk @ yt.reshape(bi.size, bj.size))))
     return vals
 
 
@@ -437,15 +435,12 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
         params = CavityModel(n_atoms, omega0=delta, omega=0.0,
                              cavity_g=cavity_g, gamma_c=gamma_c,
                              n_ph_max=ph_max)
-        model = build_cavity_model(params, g_laser)
-        basis = cavity_basis(n_atoms, ph_max, ph_max + 1)
-        fwd = SectorPropagator(model)
-        rev = SectorPropagator(
-            LindbladModel(-model.hamiltonian, model.jumps))
+        model, basis = build_cavity_model(params, g_laser)
         psi = cavity_initial_state(basis, n_atoms)
         rho0 = np.outer(psi, psi.conj())
         sx1 = cavity_sx1(basis, n_atoms) / n_atoms
-        return 1.0 - _sector_echo_series(fwd, rev, rho0, sx1, gate_times)
+        return 1.0 - _sector_echo_series(SectorPropagator(model), rho0, sx1,
+                                         gate_times)
 
     errs = errors_at(n_ph_max)
     if convergence_check:

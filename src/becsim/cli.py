@@ -29,14 +29,16 @@ CONFIG_KEYS = {
     "out": str, "schedule": str,
 }
 
+# the keys each command reads, with their defaults (None: the protocol's
+# own); a flag for any other key is an argument error
 DEFAULTS = {
-    "fig2a": {"N": 10, "samples": 201},
+    "fig2a": {"N": 10, "samples": 201, "t_end": math.pi / 2.0},
     "fig2b": {"N_max": 30},
     "fig4a": {"N": 4, "gamma": 0.01, "omega": 1.0, "samples": 801,
-              "axis": "caption"},
+              "axis": "caption", "t_end": None},
     "fig4b": {"N_max": 6, "gamma": 0.01, "omega": 1.0, "samples": 13,
               "axis": "caption"},
-    "fig4c": {"N": 4, "gamma": 0.1, "samples": 6001},
+    "fig4c": {"N": 4, "gamma": 0.1, "samples": 6001, "t_end": None},
     "fig4d": {"N_max": 4, "gamma": 1.0},
     "deutsch": {"N": 10},
     "rates": {"t_end": 20.0, "samples": 201},
@@ -92,15 +94,22 @@ def parse_config_file(path):
 
 
 def resolve_params(args):
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, then the config file, then flags; every flag must be read.
+
+    A config file may serve several commands, so its unread keys pass.
+    """
     params = dict(DEFAULTS[args.command])
     if args.config:
         params.update(parse_config_file(args.config))
     for key in ("N", "N_max", "gamma", "omega", "t_end", "samples", "axis",
                 "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key != "out" and key not in DEFAULTS[args.command]:
+            raise ArgumentError("%s does not use --%s"
+                                % (args.command, key.replace("_", "-")))
+        params[key] = value
     return params
 
 
@@ -126,8 +135,7 @@ def cmd_fig2a(params, out):
     """Entanglement entropy against gate phase for one boson number."""
     n = params["N"]
     samples = params["samples"]
-    t_end = params.get("t_end", math.pi / 2.0)
-    grid = np.linspace(0.0, t_end, samples)
+    grid = np.linspace(0.0, params["t_end"], samples)
     rows = []
     for wt in grid:
         reg = registers.entangled_state_analytic(n, n, wt)
@@ -158,7 +166,7 @@ def cmd_fig2b(params, out):
 def cmd_fig4a(params, out):
     rec = channels.run_fig4a(params["N"], gamma=params["gamma"],
                              omega2=params["omega"],
-                             t_end=params.get("t_end"),
+                             t_end=params["t_end"],
                              samples=params["samples"],
                              axis=params["axis"])
     write_csv(out, *rec.table())
@@ -197,7 +205,7 @@ def cmd_fig4b(params, out):
 def cmd_fig4c(params, out):
     n = params["N"]
     rec = channels.run_fig4c(n, gamma_s=params["gamma"],
-                             t_end=params.get("t_end"),
+                             t_end=params["t_end"],
                              samples=params["samples"])
     write_csv(out, *rec.table())
     fitted = channels.oscillation_envelope_rate(

@@ -282,35 +282,34 @@ class SectorPropagator:
     over the sectors and the superoperator decouples into independent
     (sector, sector) blocks of the density matrix (Buca & Prosen, NJP 14,
     073007, 2012).  Sectors are ordered by their lowest basis index.
-    Each block generator is diagonalized once, after which evolution to
-    any time is a single reconstruction — no stiffness limit, which
-    matters for weak effective interactions whose gate times exceed the
-    fast oscillation period by many orders of magnitude.
+    A block generator's eigendecomposition gives its evolution to any
+    time as a single reconstruction — no stiffness limit, which matters
+    for weak effective interactions whose gate times exceed the fast
+    oscillation period by many orders of magnitude.  Nothing is cached:
+    most observables touch only a thin band of blocks, the full set can
+    be too large to hold, and a caller that evolves one block to many
+    times keeps its block_eig result itself.
     """
 
     def __init__(self, model):
-        mats = [model.hamiltonian] + [op for op, _ in model.active_jumps()]
+        # H and the active jumps over the full basis
+        self.operators = [model.hamiltonian] + [
+            op for op, _ in model.active_jumps()]
         support = np.zeros((model.dim, model.dim), dtype=bool)
-        for m in mats:
+        for m in self.operators:
             support |= m != 0
         count, labels = connected_components(sp.csr_matrix(support),
                                              directed=False)
-        self.dim = model.dim
         self.blocks = [np.flatnonzero(labels == k) for k in range(count)]
         self._h = [model.hamiltonian[np.ix_(b, b)] for b in self.blocks]
         self._jumps = [([op[np.ix_(b, b)] for b in self.blocks], rate)
                        for op, rate in model.active_jumps()]
-        self._eig = {}
 
     def block_eig(self, i, j):
-        """Eigendecomposition of the (sector i, sector j) block generator.
+        """(w, V, V^-1) of the (sector i, sector j) block generator.
 
-        Computed lazily and cached: most observables touch only a thin
-        band of blocks, and the full set can be too large to hold.
+        The block acts on the row-major flattened rho[b_i, b_j].
         """
-        cached = self._eig.get((i, j))
-        if cached is not None:
-            return cached
         ni, nj = self.blocks[i].size, self.blocks[j].size
         ident_i = np.eye(ni, dtype=complex)
         ident_j = np.eye(nj, dtype=complex)
@@ -322,12 +321,10 @@ class SectorPropagator:
                            - 0.5 * np.kron(li.conj().T @ li, ident_j)
                            - 0.5 * np.kron(ident_i, (lj.conj().T @ lj).T))
         w, v = np.linalg.eig(gen)
-        result = (w, v, np.linalg.inv(v))
-        self._eig[i, j] = result
-        return result
+        return w, v, np.linalg.inv(v)
 
     def evolve_block(self, x, i, j, t):
-        """Propagate one rectangular block of the density matrix."""
+        """Propagate one block of rho; diagonalizes the block on each call."""
         w, v, vinv = self.block_eig(i, j)
         return (v @ (np.exp(w * t) * (vinv @ x.reshape(-1)))).reshape(x.shape)
 

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from becsim.channels import (
     AXIS_CONVENTIONS,
+    _sector_echo_series,
     build_cavity_model,
     build_dephasing_model,
     build_lambda_model,
@@ -28,6 +29,7 @@ from becsim.channels import (
     site_operator,
 )
 from becsim.lindblad import (
+    LindbladModel,
     SectorPropagator,
     fit_decay_rate,
     integrate_master,
@@ -230,8 +232,7 @@ def test_cavity_sectors_conserved():
     for n_atoms, n_ph_max in ((1, 1), (2, 2), (3, 2)):
         params = CavityModel(n_atoms, omega0=10.0, omega=0.0, cavity_g=1.0,
                              gamma_c=0.5, n_ph_max=n_ph_max)
-        model = build_cavity_model(params, 1.0)
-        basis = cavity_basis(n_atoms, n_ph_max, n_ph_max + 1)
+        model, basis = build_cavity_model(params, 1.0)
         labels = [(s[0], s[3]) for s in basis.states]
         expected = [[i for i, l in enumerate(labels) if l == key]
                     for key in sorted(set(labels))]
@@ -242,14 +243,85 @@ def test_cavity_sectors_conserved():
 def test_cavity_sector_evolution_matches_dense():
     params = CavityModel(1, omega0=8.0, omega=0.0, cavity_g=1.0,
                          gamma_c=0.4, n_ph_max=1)
-    model = build_cavity_model(params, 1.0)
-    basis = cavity_basis(1, 1, 2)
+    model, basis = build_cavity_model(params, 1.0)
     prop = SectorPropagator(model)
     psi = cavity_initial_state(basis, 1)
     rho0 = np.outer(psi, psi.conj())
     t = 0.8
     dense = propagate(model, rho0, t)
     assert np.max(np.abs(prop.evolve(rho0, t) - dense)) < 1e-8
+
+
+def _dense_liouvillian(h, jumps):
+    """Column-stacked generator: vec(A X B) = (B^T kron A) vec(X)."""
+    eye = np.eye(h.shape[0])
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op, rate in jumps:
+        ldl = op.conj().T @ op
+        gen = gen + rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
+                            - 0.5 * np.kron(ldl.T, eye))
+    return gen
+
+
+@pytest.mark.parametrize("n_atoms,exc_max", [(1, "auto"), (2, 1)])
+def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
+    # N = 2 drops the states with two excitations (exc_max=1): the default
+    # truncation gives a 2704-dim dense Liouvillian, too slow for expm
+    params = CavityModel(n_atoms, omega0=10.0, omega=0.0, cavity_g=1.0,
+                         gamma_c=1.0, n_ph_max=1)
+    model, basis = build_cavity_model(params, 1.0, exc_max=exc_max)
+    psi = cavity_initial_state(basis, n_atoms)
+    rho0 = np.outer(psi, psi.conj())
+    sx1 = cavity_sx1(basis, n_atoms) / n_atoms
+    dt, steps = 4.0, (1, 15)
+    got = _sector_echo_series(SectorPropagator(model), rho0, sx1,
+                              dt * np.array(steps))
+    fwd = expm(dt * _dense_liouvillian(model.hamiltonian, model.jumps))
+    rev = expm(dt * _dense_liouvillian(-model.hamiltonian, model.jumps))
+    d = model.dim
+    for k, value in zip(steps, got):
+        vec = rho0.reshape(-1, order="F")
+        for step in [fwd] * k + [rev] * k:
+            vec = step @ vec
+        want = np.real(np.trace(sx1 @ vec.reshape(d, d, order="F")))
+        assert abs(value - want) < 1e-10
+    assert np.ptp(got) > 1e-3   # the echo is not trivially perfect
+
+
+def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
+    params = CavityModel(1, omega0=10.0, omega=0.0, cavity_g=1.0,
+                         gamma_c=1.0, n_ph_max=1)
+    model, basis = build_cavity_model(params, 1.0)
+    pairs = set(SectorPropagator(model).observable_blocks(
+        cavity_sx1(basis, 1)))
+    folded = [(i, j) for i, j in pairs if not (i > j and (j, i) in pairs)]
+    assert 0 < len(folded) < len(pairs)
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape[0])
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    run_fig4d(1, n_ph_max=1, convergence_check=False)
+    assert len(calls) == len(folded)
+
+
+def test_sector_echo_rejects_complex_operators():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    readout = np.diag([1.0, -1.0])
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    for model in (LindbladModel(h, ((1j * flip, 0.3),)),
+                  LindbladModel(h + 0.2 * sigma_y, ((flip, 0.3),))):
+        with pytest.raises(ValueError, match="real"):
+            _sector_echo_series(SectorPropagator(model), rho0, readout, [1.0])
+    # the same model with a real jump runs
+    real = LindbladModel(h, ((flip, 0.3),))
+    assert _sector_echo_series(SectorPropagator(real), rho0, readout,
+                               [1.0]).shape == (1,)
 
 
 def test_fig4d_small_system_runs():

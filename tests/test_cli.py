@@ -1,9 +1,17 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
-from becsim.cli import COMMANDS, main, parse_config_file, write_csv
+from becsim.cli import (COMMANDS, _build_parser, main, parse_config_file,
+                        resolve_params, write_csv)
+
+OPERATIONS = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+              / "operations.py")
 
 
 def read_csv(path):
@@ -31,6 +39,38 @@ def test_unknown_command_exits_1(capsys):
 
 def test_bad_flag_exits_1():
     assert main(["deutsch", "--N", "not-a-number"]) == 1
+
+
+def test_unread_flag_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig2a", "--omega", "3"]) == 1
+    assert "error: fig2a does not use --omega" in capsys.readouterr().err
+    assert main(["fig4d", "--N-max", "1", "--t-end", "3"]) == 1
+    assert "error: fig4d does not use --t-end" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unread_config_key_accepted(tmp_path):
+    # one file may serve several commands
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("omega = 3\nsamples = 5\n")
+    out = tmp_path / "deutsch.csv"
+    assert main(["deutsch", "--config", str(cfg), "--N", "2",
+                 "--out", str(out)]) == 0
+
+
+def test_benchmark_argv_accepted(monkeypatch):
+    spec = importlib.util.spec_from_file_location("operations", OPERATIONS)
+    operations = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "operations", operations)
+    spec.loader.exec_module(operations)
+    argvs = [op.argv for ops in operations.WORKLOADS.values() for op in ops
+             if op.argv]
+    assert {argv[0] for argv in argvs} >= {"fig4d", "fig4c", "fig2a"}
+    for argv in argvs:
+        params = resolve_params(_build_parser().parse_args(
+            list(argv) + ["--out", "x.csv"]))
+        assert params["out"] == "x.csv"
 
 
 def test_fig2a_writes_entropy_curve(tmp_path):

@@ -6,7 +6,9 @@ half the models H is diagonal and only the jumps (at least one) connect
 the states of a block, so the sectors must come from the jumps too.  The
 sectors SectorPropagator derives must recover the planted blocks, and
 sector evolution, `propagate`, the exact grid evaluator and DOP853 must
-agree on rho(t) while keeping its trace and Hermiticity.
+agree on rho(t) while keeping its trace and Hermiticity.  For real H and
+jumps, the conjugated forward block eigendecomposition must reproduce
+the evolution of the reversed model (-H, same jumps).
 """
 
 import numpy as np
@@ -16,12 +18,15 @@ from becsim.lindblad import (LindbladModel, SectorPropagator,
                              integrate_master, propagate)
 
 
-def _random_block(rng, k):
+def _random_block(rng, k, real=False):
+    if real:
+        return rng.normal(size=(k, k)).astype(complex)
     return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
 
 
 @st.composite
-def planted_models(draw):
+def planted_models(draw, real=False):
+    """Planted-block model; real=True makes H and every jump real."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)
                  .filter(lambda s: sum(s) <= 12))
     h_dense = draw(st.booleans())
@@ -39,11 +44,11 @@ def planted_models(draw):
         return out
 
     if h_dense:
-        h = block_diagonal(lambda k: _random_block(rng, k))
+        h = block_diagonal(lambda k: _random_block(rng, k, real))
         h = 0.5 * (h + h.conj().T)
     else:
         h = np.diag(rng.normal(size=d)).astype(complex)
-    jumps = tuple((block_diagonal(lambda k: _random_block(rng, k)),
+    jumps = tuple((block_diagonal(lambda k: _random_block(rng, k, real)),
                    float(rng.uniform(0.05, 1.0))) for _ in range(n_jumps))
     m = _random_block(rng, d)
     rho0 = m @ m.conj().T
@@ -89,3 +94,21 @@ def test_sector_exact_and_dop853_agree(case):
         rec = integrate_master(model, rho0, t, 3, observables={"o": obs},
                                method=method)
         assert np.max(np.abs(rec.series("o") - want)) < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models(real=True))
+def test_conjugate_block_eig_reverses_real_models(case):
+    # the (-H, L) generator of a real model is the conjugate of (H, L)'s
+    model, _, rho0, _, t = case
+    assert not np.any(model.hamiltonian.imag)
+    prop = SectorPropagator(model)
+    reverse = SectorPropagator(
+        LindbladModel(-model.hamiltonian, model.jumps)).evolve(rho0, t)
+    for i, bi in enumerate(prop.blocks):
+        for j, bj in enumerate(prop.blocks):
+            w, v, vinv = (a.conj() for a in prop.block_eig(i, j))
+            x = rho0[np.ix_(bi, bj)].reshape(-1)
+            got = v @ (np.exp(w * t) * (vinv @ x))
+            want = reverse[np.ix_(bi, bj)].reshape(-1)
+            assert np.max(np.abs(got - want)) < 1e-8

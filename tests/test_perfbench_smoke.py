@@ -66,3 +66,27 @@ def test_operations_names_resolve():
     missing = sorted("%s.%s" % key for key in read
                      if not hasattr(modules[key[0]], key[1]))
     assert not missing, missing
+
+
+def test_tracer_sees_one_block_eig_per_folded_pair():
+    # the echo diagonalizes each folded (i, j) pair once and reverses with
+    # the conjugate; the per-layer counters must still see every eig
+    tracing = _load("tracing")
+    from becsim import channels, lindblad
+    params = channels.CavityModel(1, omega0=10.0, omega=0.0, cavity_g=1.0,
+                                  gamma_c=1.0, n_ph_max=1)
+    model, basis = channels.build_cavity_model(params, 1.0)
+    pairs = set(lindblad.SectorPropagator(model).observable_blocks(
+        channels.cavity_sx1(basis, 1)))
+    folded = [(i, j) for i, j in pairs if not (i > j and (j, i) in pairs)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        channels.run_fig4d(1, n_ph_max=1, convergence_check=False)
+    finally:
+        tracer.uninstall()
+    stats = tracer.span_stats()
+    assert tracer.value("lindblad.block_eig.calls", stats) == \
+        tracer.value("lindblad.block_eig.distinct", stats) == len(folded)
+    assert tracer.value("linalg.eig.calls", stats) == len(folded)
+    assert tracer.value("linalg.eig.work_n3", stats) > 0
