@@ -5,7 +5,11 @@ the integrator propagates the density matrix
 
     drho/dt = -i[H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2)
 
-with adaptive error control and per-sample trace/Hermiticity diagnostics.
+with per-sample trace/Hermiticity diagnostics.  Every exact evolution
+uses the one sparse Liouvillian `_liouvillian` builds: the grid
+evaluator restricts it to the invariant blocks rho occupies, and
+SectorPropagator diagonalizes its (sector, sector) slices.  Adaptive
+DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 """
@@ -164,25 +168,24 @@ def _liouvillian(model):
 def _exact_series(model, rho, t_end, samples):
     """Density matrices at `samples` equally spaced times in [0, t_end].
 
-    Exact for a time-independent generator.  When every operator is
-    diagonal each element rho_ij evolves by its own exponential;
-    otherwise expm_multiply applies the exponential of the sparse
-    Liouvillian to rho over the whole grid.
+    Exact for a time-independent generator.  Each connected component of
+    the Liouvillian's sparsity pattern is an invariant subspace of vec(rho)
+    (Buca & Prosen, NJP 14, 073007, 2012), so expm_multiply runs only on
+    the components rho occupies; every other entry stays exactly 0.
     """
     d = model.dim
-    if _all_diagonal(model):
-        h = np.diagonal(model.hamiltonian)
-        gen = -1j * (h[:, None] - h[None, :])
-        for op, rate in model.active_jumps():
-            l = np.diagonal(op)
-            gen = gen + rate * (l[:, None] * l[None, :].conj()
-                                - 0.5 * (np.abs(l)[:, None] ** 2
-                                         + np.abs(l)[None, :] ** 2))
-        return (np.exp(t * gen) * rho
-                for t in np.linspace(0.0, t_end, samples))
-    flat = expm_multiply(_liouvillian(model), rho.reshape(-1), start=0.0,
-                         stop=t_end, num=samples, endpoint=True)
-    return (flat[i].reshape(d, d) for i in range(samples))
+    lv = _liouvillian(model)
+    _, labels = connected_components(lv.astype(bool), directed=False)
+    x = rho.reshape(-1)
+    idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
+    kept = np.zeros((samples, idx.size), dtype=complex)
+    if idx.size:
+        kept = expm_multiply(lv[idx][:, idx], x[idx], start=0.0, stop=t_end,
+                             num=samples, endpoint=True)
+    for row in kept:
+        flat = np.zeros(d * d, dtype=complex)
+        flat[idx] = row
+        yield flat.reshape(d, d)
 
 
 def _sample_rho(rho_list, times, model, observables, meta):
@@ -221,8 +224,8 @@ def integrate_master(model, rho0, t_end, samples, observables=None,
     observables maps names to Hermitian matrices; their real expectation
     values are recorded at `samples` equally spaced times in [0, t_end].
     method is one of "auto", "expm" (exact evaluation of the
-    time-independent generator, elementwise when every operator is
-    diagonal), or "rk" (adaptive DOP853 with local tolerance RK_TOL).
+    time-independent generator on the invariant blocks rho occupies), or
+    "rk" (adaptive DOP853 with local tolerance RK_TOL).
     "auto" picks "expm" for diagonal models and above dimension 64.
     """
     if t_end < 0:
@@ -282,13 +285,14 @@ class SectorPropagator:
     over the sectors and the superoperator decouples into independent
     (sector, sector) blocks of the density matrix (Buca & Prosen, NJP 14,
     073007, 2012).  Sectors are ordered by their lowest basis index.
-    A block generator's eigendecomposition gives its evolution to any
-    time as a single reconstruction — no stiffness limit, which matters
-    for weak effective interactions whose gate times exceed the fast
-    oscillation period by many orders of magnitude.  Nothing is cached:
-    most observables touch only a thin band of blocks, the full set can
-    be too large to hold, and a caller that evolves one block to many
-    times keeps its block_eig result itself.
+    A block generator is a slice of the model's sparse Liouvillian, held
+    for the propagator's lifetime; its eigendecomposition gives its
+    evolution to any time as a single reconstruction — no stiffness
+    limit, which matters for weak effective interactions whose gate times
+    exceed the fast oscillation period by many orders of magnitude.  No
+    decomposition is cached: most observables touch only a thin band of
+    blocks, the full set can be too large to hold, and a caller that
+    evolves one block to many times keeps its block_eig result itself.
     """
 
     def __init__(self, model):
@@ -301,26 +305,16 @@ class SectorPropagator:
         count, labels = connected_components(sp.csr_matrix(support),
                                              directed=False)
         self.blocks = [np.flatnonzero(labels == k) for k in range(count)]
-        self._h = [model.hamiltonian[np.ix_(b, b)] for b in self.blocks]
-        self._jumps = [([op[np.ix_(b, b)] for b in self.blocks], rate)
-                       for op, rate in model.active_jumps()]
+        self._dim = model.dim
+        self._liouvillian = _liouvillian(model)
 
     def block_eig(self, i, j):
         """(w, V, V^-1) of the (sector i, sector j) block generator.
 
         The block acts on the row-major flattened rho[b_i, b_j].
         """
-        ni, nj = self.blocks[i].size, self.blocks[j].size
-        ident_i = np.eye(ni, dtype=complex)
-        ident_j = np.eye(nj, dtype=complex)
-        gen = -1j * (np.kron(self._h[i], ident_j)
-                     - np.kron(ident_i, self._h[j].T))
-        for ops, rate in self._jumps:
-            li, lj = ops[i], ops[j]
-            gen += rate * (np.kron(li, lj.conj())
-                           - 0.5 * np.kron(li.conj().T @ li, ident_j)
-                           - 0.5 * np.kron(ident_i, (lj.conj().T @ lj).T))
-        w, v = np.linalg.eig(gen)
+        idx = (self.blocks[i][:, None] * self._dim + self.blocks[j]).ravel()
+        w, v = np.linalg.eig(self._liouvillian[idx][:, idx].toarray())
         return w, v, np.linalg.inv(v)
 
     def evolve_block(self, x, i, j, t):

@@ -252,17 +252,6 @@ def test_cavity_sector_evolution_matches_dense():
     assert np.max(np.abs(prop.evolve(rho0, t) - dense)) < 1e-8
 
 
-def _dense_liouvillian(h, jumps):
-    """Column-stacked generator: vec(A X B) = (B^T kron A) vec(X)."""
-    eye = np.eye(h.shape[0])
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op, rate in jumps:
-        ldl = op.conj().T @ op
-        gen = gen + rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
-                            - 0.5 * np.kron(ldl.T, eye))
-    return gen
-
-
 @pytest.mark.parametrize("n_atoms,exc_max", [(1, "auto"), (2, 1)])
 def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     # N = 2 drops the states with two excitations (exc_max=1): the default

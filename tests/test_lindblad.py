@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from becsim.channels import cavity_basis, loss_basis
+from becsim import lindblad
+from becsim.channels import build_loss_model, cavity_basis, loss_basis
 from becsim.cli import write_csv
-from becsim.errors import NumericalIntegrityError
+from becsim.errors import IntegrationError, NumericalIntegrityError
 from becsim.lindblad import (
     EvolutionRecord,
     LindbladModel,
@@ -192,6 +194,50 @@ def test_propagate_matches_integrate_endpoint():
     rho_end = propagate(model, rho0, 1.3)
     assert float(np.real(np.trace(sz @ rho_end))) == pytest.approx(
         rec.series("sz")[-1], abs=1e-8)
+
+
+def test_empty_support_propagates_to_zero():
+    # no occupied entry: nothing to evolve, and the grid path reports the
+    # zero trace as drift at the first sample
+    sm, sz, _ = qubit_ops()
+    model = LindbladModel(0.9 * sz, ((sm, 0.4),))
+    zero = np.zeros((2, 2), dtype=complex)
+    assert not np.any(propagate(model, zero, 1.3))
+    with pytest.raises(IntegrationError,
+                       match=r"trace drifted to 1\.000e\+00 at t=0$"):
+        integrate_master(model, zero, 1.3, 3, method="expm")
+
+
+def test_expm_multiply_sees_only_the_occupied_block(monkeypatch):
+    # loss from (n_a, n_b) = (2, 0) reaches only the diagonal entries of
+    # rho: a 6-entry invariant block of the 36-entry Liouvillian
+    model = build_loss_model(1, 2, 0.3)
+    d = model.dim
+    k = loss_basis(2).states.index((2, 0))
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[k, k] = 1.0
+    shapes = []
+    expm_multiply = lindblad.expm_multiply
+
+    def recording(op, *args, **kwargs):
+        shapes.append(op.shape)
+        return expm_multiply(op, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "expm_multiply", recording)
+    t = 1.7
+    got = propagate(model, rho0, t)
+    assert shapes == [(6, 6)]
+    assert not np.any(got[~np.eye(d, dtype=bool)])
+
+    eye = np.eye(d)
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    # H = 0; row-major vec(A X B) = (A kron B^T) vec(X)
+    for op, rate in model.jumps:
+        ldl = op.conj().T @ op
+        gen += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(ldl, eye)
+                       - 0.5 * np.kron(eye, ldl.T))
+    want = (expm(t * gen) @ rho0.reshape(-1)).reshape(d, d)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_to_csv_format(tmp_path):
