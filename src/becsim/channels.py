@@ -49,8 +49,6 @@ def build_dephasing_model(m_sites, n_atoms, axis, gamma, hamiltonian=None):
     """
     if axis not in ("x", "z"):
         raise ValueError("dephasing axis must be 'x' or 'z'")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
     dim = (n_atoms + 1) ** m_sites
     if dim > MAX_DENSITY_DIM:
         raise CapacityError("dephasing model dimension %d too large" % dim)
@@ -97,26 +95,22 @@ def embed_loss_state(state, basis):
     return vec
 
 
-def build_loss_model(m_sites, n_max, gamma_l, hamiltonian=None):
+def build_loss_model(m_sites, n_max, gamma_l):
     """Particle loss: jumps a and b on every site at rate gamma_l.
 
     A single-site <S^z> then decays as exp(-gamma_l t); a K-site
     correlator of non-identity factors decays as exp(-gamma_l K t).
     """
-    if gamma_l < 0:
-        raise ValueError("gamma_l must be >= 0")
     basis = loss_basis(n_max)
     dim = basis.size ** m_sites
     if dim > MAX_DENSITY_DIM:
         raise CapacityError("loss model dimension %d too large" % dim)
-    if hamiltonian is None:
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
     jumps = []
     for site in range(m_sites):
         for mode in (0, 1):
             jumps.append((loss_site_operator(basis, m_sites, site,
                                              basis.lower(mode)), gamma_l))
-    return LindbladModel(hamiltonian, tuple(jumps))
+    return LindbladModel(np.zeros((dim, dim), dtype=complex), tuple(jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +189,14 @@ def _gate_configuration(n_atoms, gamma, omega2, axis):
     if axis == "caption":
         site = np.zeros(dim, dtype=complex)
         site[n_atoms] = 1.0        # S^z = N: every boson in mode a
-        name = "sz1_over_n"
     else:
         site = sqrt_binomial(n_atoms, np.arange(dim)) / math.sqrt(2.0 ** n_atoms)
         site = site.astype(complex)
-        name = "sx1_over_n"
     psi = np.kron(site, site)
-    # readout is along the initial polarization axis
-    polar_axis = "z" if axis == "caption" else "x"
-    readout = site_operator(2, n_atoms, {0: polar_axis}) / n_atoms
-    return model, np.outer(psi, psi.conj()), readout, name
+    # the sites start polarized along the dephasing axis; read that out
+    readout = site_operator(2, n_atoms, {0: deph_axis}) / n_atoms
+    return (model, np.outer(psi, psi.conj()), readout,
+            "s%s1_over_n" % deph_axis)
 
 
 def run_fig4a(n_atoms, gamma=0.01, omega2=1.0, t_end=None, samples=801,
@@ -226,14 +218,16 @@ def run_fig4a(n_atoms, gamma=0.01, omega2=1.0, t_end=None, samples=801,
     return rec
 
 
-def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=(), axis="caption"):
+def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
     """Gate error after running the product gate for t and reversing it.
 
-    Error is 1 - <S^pol_1>/N after evolving under +H for t and -H for
-    another t, with dephasing on throughout; exact reversal at gamma = 0.
-    Returns a list of (n_atoms, t, error).
+    Error is 1 - <S^z1>/N (caption convention; its x<->z relabeling gives
+    the same) after evolving under +H for t and -H for another t, with
+    dephasing on throughout; exact reversal at gamma = 0.  Returns a list
+    of (n_atoms, t, error).
     """
-    model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2, axis)
+    model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2,
+                                                  "caption")
     reverse = LindbladModel(-model.hamiltonian, model.jumps)
     out = []
     for t in gate_times:
@@ -388,9 +382,9 @@ def _sector_echo_series(prop, rho0, readout, times):
     For real H and jumps (else ValueError) the reversed model's (-H, same
     jumps) block generator is the conjugate of the forward one, so each
     block's (w, V, V^-1), computed once and held only while that block
-    runs, reverses as (conj w, conj V, conj V^-1).  Only blocks the
-    readout pairs with are evolved; Hermitian symmetry folds the (j, i)
-    block into 2 Re of the (i, j) contribution.
+    runs, evolves x backwards as conj(V exp(w t) V^-1 conj(x)).  Only
+    blocks the readout pairs with are evolved; Hermitian symmetry folds
+    the (j, i) block into 2 Re of the (i, j) contribution.
     """
     if any(np.any(m.imag) for m in prop.operators):
         raise ValueError("the reversed echo needs a real H and real jumps")
@@ -405,10 +399,9 @@ def _sector_echo_series(prop, rho0, readout, times):
         x0 = rho0[np.ix_(bi, bj)].reshape(-1)
         o_blk = readout[np.ix_(bj, bi)]
         w, v, vinv = prop.block_eig(i, j)
-        w_r, v_r, vinv_r = w.conj(), v.conj(), vinv.conj()
         for k, t in enumerate(times):
             xt = v @ (np.exp(w * t) * (vinv @ x0))
-            yt = v_r @ (np.exp(w_r * t) * (vinv_r @ xt))
+            yt = np.conj(v @ (np.exp(w * t) * (vinv @ np.conj(xt))))
             vals[k] += weight * float(np.real(np.trace(
                 o_blk @ yt.reshape(bi.size, bj.size))))
     return vals

@@ -2,8 +2,8 @@
 
 Each command reproduces one figure or claim as a deterministic CSV table
 and prints fitted rates with pass/fail lines against the built-in
-expectations.  Exit codes: 0 success, 1 argument error, 2 numerical
-failure.
+expectations.  Exit codes: 0 success, 1 argument or input error, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ DEFAULTS = {
     "fig2b": {"N_max": 30},
     "fig4a": {"N": 4, "gamma": 0.01, "omega": 1.0, "samples": 801,
               "axis": "caption", "t_end": None},
-    "fig4b": {"N_max": 6, "gamma": 0.01, "omega": 1.0, "samples": 13,
-              "axis": "caption"},
+    "fig4b": {"N_max": 6, "gamma": 0.01, "omega": 1.0, "samples": 13},
     "fig4c": {"N": 4, "gamma": 0.1, "samples": 6001, "t_end": None},
     "fig4d": {"N_max": 4, "gamma": 1.0},
     "deutsch": {"N": 10},
@@ -45,6 +44,9 @@ DEFAULTS = {
     "schedule": {"N": 2},
     "selftest": {},
 }
+
+# the smallest value each integer key accepts
+MINIMA = {"N": 1, "N_max": 1, "samples": 2}
 
 
 class ArgumentError(Exception):
@@ -97,6 +99,7 @@ def resolve_params(args):
     """Defaults, then the config file, then flags; every flag must be read.
 
     A config file may serve several commands, so its unread keys pass.
+    The floats a command reads must be finite, its integers >= MINIMA.
     """
     params = dict(DEFAULTS[args.command])
     if args.config:
@@ -110,6 +113,12 @@ def resolve_params(args):
             raise ArgumentError("%s does not use --%s"
                                 % (args.command, key.replace("_", "-")))
         params[key] = value
+    for key in DEFAULTS[args.command]:
+        value = params[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArgumentError("%s must be finite, got %r" % (key, value))
+        if key in MINIMA and value < MINIMA[key]:
+            raise ArgumentError("%s must be >= %d" % (key, MINIMA[key]))
     return params
 
 
@@ -188,8 +197,7 @@ def cmd_fig4b(params, out):
         times = np.append(times, short)
         for _, t, err in channels.run_fig4b(n, gamma=params["gamma"],
                                             omega2=params["omega"],
-                                            gate_times=sorted(times),
-                                            axis=params["axis"]):
+                                            gate_times=sorted(times)):
             rows.append((n, t, err))
             if t == short:
                 short_error = err
@@ -390,10 +398,12 @@ def main(argv=None):
     out = params.get("out") or ("%s.csv" % args.command)
     try:
         return HANDLERS[args.command](params, out)
-    except (CapacityError, IntegrationError, NumericalIntegrityError) as exc:
+    # LinAlgError is a ValueError, but a failed decomposition is numerical
+    except (CapacityError, IntegrationError, NumericalIntegrityError,
+            np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -68,17 +68,20 @@ class LindbladModel:
             raise CapacityError(
                 "dimension %d exceeds density-matrix ceiling %d"
                 % (d, MAX_DENSITY_DIM))
-        if np.linalg.norm(h - h.conj().T, np.inf) > 1e-10 * max(
-                1.0, np.linalg.norm(h, np.inf)):
-            raise ValueError("hamiltonian is not Hermitian")
         jumps = []
         for op, rate in self.jumps:
             op = np.asarray(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValueError("jump operator dimension mismatch")
-            if rate < 0:
-                raise ValueError("negative jump rate")
+            if not 0 <= rate < math.inf:     # NaN fails this test too
+                raise ValueError("jump rate must be finite and >= 0")
             jumps.append((op, float(rate)))
+        if not all(np.isfinite(m).all() for m in [h] + [j[0] for j in jumps]):
+            raise ValueError("non-finite entry in the hamiltonian or a jump")
+        # only after the finiteness test: a NaN norm compares False
+        if np.linalg.norm(h - h.conj().T, np.inf) > 1e-10 * max(
+                1.0, np.linalg.norm(h, np.inf)):
+            raise ValueError("hamiltonian is not Hermitian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(jumps))
 
@@ -144,10 +147,7 @@ def _as_matrix(rho0, dim):
 
 def _all_diagonal(model):
     mats = [model.hamiltonian] + [op for op, _ in model.active_jumps()]
-    for m in mats:
-        if np.count_nonzero(m - np.diag(np.diagonal(m))):
-            return False
-    return True
+    return not any(np.count_nonzero(m - np.diag(np.diagonal(m))) for m in mats)
 
 
 def _liouvillian(model):
@@ -217,16 +217,39 @@ def _sample_rho(rho_list, times, model, observables, meta):
                            min_eig=min_eig, meta=meta)
 
 
-def integrate_master(model, rho0, t_end, samples, observables=None,
-                     method="auto"):
+def _rk_series(model, rho, t_end, samples):
+    """The grid of _exact_series, by DOP853 at local relative tol RK_TOL."""
+    d, h = model.dim, model.hamiltonian
+    jumps = [(op, op.conj().T @ op, rate)
+             for op, rate in model.active_jumps()]
+
+    def rhs(_t, y):
+        r = y.reshape(d, d)
+        out = -1j * (h @ r - r @ h)
+        for l, ldl, rate in jumps:
+            out += rate * (l @ r @ l.conj().T
+                           - 0.5 * (ldl @ r + r @ ldl))
+        return out.reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, t_end), rho.reshape(-1),
+                    t_eval=np.linspace(0.0, t_end, samples),
+                    method="DOP853", rtol=RK_TOL, atol=RK_TOL * 1e-2)
+    if not sol.success:
+        raise IntegrationError("integrator failed: %s" % sol.message,
+                               last_good_time=float(sol.t[-1])
+                               if sol.t.size else 0.0)
+    return (sol.y[:, i].reshape(d, d) for i in range(samples))
+
+
+def integrate_master(model, rho0, t_end, samples, observables=None):
     """Propagate rho under the model and sample observables on a grid.
 
     observables maps names to Hermitian matrices; their real expectation
     values are recorded at `samples` equally spaced times in [0, t_end].
-    method is one of "auto", "expm" (exact evaluation of the
-    time-independent generator on the invariant blocks rho occupies), or
-    "rk" (adaptive DOP853 with local tolerance RK_TOL).
-    "auto" picks "expm" for diagonal models and above dimension 64.
+    The model picks the engine, recorded as meta["method"]: "expm"
+    (exact evaluation of the time-independent generator on the invariant
+    blocks rho occupies) for diagonal models and above dimension 64,
+    "rk" (adaptive DOP853) otherwise.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -236,37 +259,11 @@ def integrate_master(model, rho0, t_end, samples, observables=None,
                    for name, op in (observables or {}).items()}
     d = model.dim
     rho = _as_matrix(rho0, d)
-    times = np.linspace(0.0, t_end, samples)
-
-    if method == "auto":
-        method = "expm" if _all_diagonal(model) or d > 64 else "rk"
-    meta = {"method": method, "dim": d}
-
-    if method == "expm":
-        rhos = _exact_series(model, rho, t_end, samples)
-    elif method == "rk":
-        h = model.hamiltonian
-        jumps = [(op, op.conj().T @ op, rate)
-                 for op, rate in model.active_jumps()]
-
-        def rhs(_t, y):
-            r = y.reshape(d, d)
-            out = -1j * (h @ r - r @ h)
-            for l, ldl, rate in jumps:
-                out += rate * (l @ r @ l.conj().T
-                               - 0.5 * (ldl @ r + r @ ldl))
-            return out.reshape(-1)
-
-        sol = solve_ivp(rhs, (0.0, t_end), rho.reshape(-1), t_eval=times,
-                        method="DOP853", rtol=RK_TOL, atol=RK_TOL * 1e-2)
-        if not sol.success:
-            raise IntegrationError("integrator failed: %s" % sol.message,
-                                   last_good_time=float(sol.t[-1])
-                                   if sol.t.size else 0.0)
-        rhos = (sol.y[:, i].reshape(d, d) for i in range(samples))
-    else:
-        raise ValueError("unknown method %r" % method)
-    return _sample_rho(rhos, times, model, observables, meta)
+    exact = _all_diagonal(model) or d > 64
+    rhos = (_exact_series if exact else _rk_series)(model, rho, t_end, samples)
+    meta = {"method": "expm" if exact else "rk", "dim": d}
+    return _sample_rho(rhos, np.linspace(0.0, t_end, samples), model,
+                       observables, meta)
 
 
 def propagate(model, rho, t):

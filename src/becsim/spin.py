@@ -312,7 +312,6 @@ class MultiModeBasis(OccupationBasis):
         if mode_count < 1 or total_n < 0:
             raise ValueError("need mode_count >= 1 and total_n >= 0")
         super().__init__(enumerate_occupations(mode_count, total_n))
-        self.total_n = total_n
 
 
 def spin_operator(axis: str, n_atoms: int) -> np.ndarray:

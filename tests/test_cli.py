@@ -47,6 +47,27 @@ def test_unread_flag_exits_1(tmp_path, capsys, monkeypatch):
     assert "error: fig2a does not use --omega" in capsys.readouterr().err
     assert main(["fig4d", "--N-max", "1", "--t-end", "3"]) == 1
     assert "error: fig4d does not use --t-end" in capsys.readouterr().err
+    # fig4b runs one axis convention
+    assert main(["fig4b", "--axis", "caption"]) == 1
+    assert "error: fig4b does not use --axis" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4a", "--gamma", "nan"],
+    ["fig4a", "--omega", "nan"],
+    ["fig4a", "--gamma", "-1"],
+    ["fig4b", "--N-max", "0"],
+    ["fig4a", "--samples", "1"],
+    ["fig2a", "--samples", "0"],
+    ["deutsch", "--N", "0"],
+], ids="_".join)
+def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    text = capsys.readouterr()
+    assert "error:" in text.err
+    assert "PASS" not in text.out and "FAIL" not in text.out
     assert not list(tmp_path.iterdir())
 
 

@@ -107,10 +107,22 @@ def test_model_rejects_non_hermitian_hamiltonian():
         LindbladModel(h)
 
 
-def test_model_rejects_negative_rate():
+@pytest.mark.parametrize("rate", [-0.5, math.nan, math.inf])
+def test_model_rejects_negative_rate(rate):
+    # NaN compares False against 0, so a sign test alone lets it through
     sm, _, _ = qubit_ops()
     with pytest.raises(ValueError):
-        LindbladModel(np.zeros((2, 2), dtype=complex), ((sm, -0.5),))
+        LindbladModel(np.zeros((2, 2), dtype=complex), ((sm, rate),))
+
+
+def test_model_rejects_nan_hamiltonian():
+    # a NaN entry also defeats the Hermiticity norm test
+    sm, sz, _ = qubit_ops()
+    with pytest.raises(ValueError, match="non-finite"):
+        LindbladModel(np.array([[0.0, math.nan], [math.nan, 0.0]]),
+                      ((sm, 0.1),))
+    with pytest.raises(ValueError, match="non-finite"):
+        LindbladModel(sz, ((math.nan * sm, 0.1),))
 
 
 def test_active_jumps_drops_zero_rates():
@@ -130,15 +142,24 @@ def exact_damped_qubit(t, gamma):
     return sx, 1.0 - 2 * pz_up
 
 
-@pytest.mark.parametrize("method", ["rk", "expm"])
-def test_amplitude_damping_exact(method):
+def expectations(series, model, rho0, t_end, samples, op):
+    """Real Tr(op rho) at each grid point of one engine's series."""
+    return np.array([np.real(np.trace(op @ rho))
+                     for rho in series(model, rho0, t_end, samples)])
+
+
+@pytest.mark.parametrize("series", [lindblad._rk_series,
+                                    lindblad._exact_series],
+                         ids=["rk", "expm"])
+def test_amplitude_damping_exact(series):
     sm, sz, sx = qubit_ops()
     gamma = 0.8
     model = LindbladModel(np.zeros((2, 2), dtype=complex), ((sm, gamma),))
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
-    rec = integrate_master(model, rho0, 2.0, 21,
-                           observables={"sx": sx, "sz": sz}, method=method)
-    for t, vx, vz in zip(rec.times, rec.series("sx"), rec.series("sz")):
+    times = np.linspace(0.0, 2.0, 21)
+    vxs = expectations(series, model, rho0, 2.0, 21, sx)
+    vzs = expectations(series, model, rho0, 2.0, 21, sz)
+    for t, vx, vz in zip(times, vxs, vzs):
         ex, ez = exact_damped_qubit(t, gamma)
         assert vx == pytest.approx(ex, abs=1e-7)
         assert vz == pytest.approx(-ez, abs=1e-7)
@@ -149,10 +170,9 @@ def test_diagonal_method_matches_rk():
     model = LindbladModel(0.7 * sz, ((sz, 0.3),))
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
-    kw = dict(t_end=1.5, samples=11, observables={"sx": sx})
-    a = integrate_master(model, rho0, method="rk", **kw)
-    b = integrate_master(model, rho0, method="expm", **kw)
-    assert np.max(np.abs(a.series("sx") - b.series("sx"))) < 1e-7
+    a = expectations(lindblad._rk_series, model, rho0, 1.5, 11, sx)
+    b = expectations(lindblad._exact_series, model, rho0, 1.5, 11, sx)
+    assert np.max(np.abs(a - b)) < 1e-7
 
 
 def test_dephasing_coherence_decay_closed_form():
@@ -203,9 +223,10 @@ def test_empty_support_propagates_to_zero():
     model = LindbladModel(0.9 * sz, ((sm, 0.4),))
     zero = np.zeros((2, 2), dtype=complex)
     assert not np.any(propagate(model, zero, 1.3))
+    assert not np.any(list(lindblad._exact_series(model, zero, 1.3, 3)))
     with pytest.raises(IntegrationError,
                        match=r"trace drifted to 1\.000e\+00 at t=0$"):
-        integrate_master(model, zero, 1.3, 3, method="expm")
+        integrate_master(model, zero, 1.3, 3)
 
 
 def test_expm_multiply_sees_only_the_occupied_block(monkeypatch):
