@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
 from .lindblad import (LindbladModel, SectorPropagator, integrate_master,
-                       propagate, MAX_DENSITY_DIM)
+                       reversal_echo, MAX_DENSITY_DIM)
 # the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
 from .lindblad import oscillation_envelope_rate  # noqa: F401
 from .spin import (MultiModeBasis, OccupationBasis, kron_product,
@@ -207,6 +207,8 @@ def run_fig4a(n_atoms, gamma=0.01, omega2=1.0, t_end=None, samples=801,
     product gate Hamiltonian runs with dephasing on; revivals at
     omega2*t = pi/2 degrade with increasing N.
     """
+    if omega2 == 0:
+        raise ValueError("omega2 must be nonzero: it sets the gate period")
     if t_end is None:
         t_end = 2.0 * math.pi / omega2
     model, rho0, readout, name = _gate_configuration(
@@ -223,19 +225,17 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
 
     Error is 1 - <S^z1>/N (caption convention; its x<->z relabeling gives
     the same) after evolving under +H for t and -H for another t, with
-    dephasing on throughout; exact reversal at gamma = 0.  Returns a list
-    of (n_atoms, t, error).
+    dephasing on throughout; exact reversal at gamma = 0.  The echo runs
+    in the Heisenberg picture (lindblad.reversal_echo): the S^z jumps are
+    Hermitian, so the reversed leg is the forward generator acting on the
+    readout, and one Liouvillian serves every gate time.  Returns a list
+    of (n_atoms, t, error) in the order of gate_times.
     """
     model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2,
                                                   "caption")
-    reverse = LindbladModel(-model.hamiltonian, model.jumps)
-    out = []
-    for t in gate_times:
-        rho_t = propagate(model, rho0, float(t))
-        rho_b = propagate(reverse, rho_t, float(t))
-        signal = float(np.real(np.trace(readout @ rho_b)))
-        out.append((n_atoms, float(t), 1.0 - signal))
-    return out
+    signal = reversal_echo(model, rho0, readout, gate_times)
+    return [(n_atoms, float(t), 1.0 - float(s))
+            for t, s in zip(gate_times, signal)]
 
 
 # ---------------------------------------------------------------------------

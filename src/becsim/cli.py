@@ -215,9 +215,10 @@ def cmd_fig4c(params, out):
     rec = channels.run_fig4c(n, gamma_s=params["gamma"],
                              t_end=params["t_end"],
                              samples=params["samples"])
-    write_csv(out, *rec.table())
+    # fit first: a record the fit cannot use writes no CSV
     fitted = channels.oscillation_envelope_rate(
         rec, "sz_over_n", rec.meta["rabi_frequency"])
+    write_csv(out, *rec.table())
     expected = rec.meta["expected_decay"]
     print("fig4c: N=%d fitted envelope rate %.5g, formula %.5g (ratio %.3f)"
           % (n, fitted, expected, fitted / expected if expected else math.nan))

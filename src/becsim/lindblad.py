@@ -7,9 +7,9 @@ the integrator propagates the density matrix
 
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
 uses the one sparse Liouvillian `_liouvillian` builds: the grid
-evaluator restricts it to the invariant blocks rho occupies, and
-SectorPropagator diagonalizes its (sector, sector) slices.  Adaptive
-DOP853 integrates the same equation without it.
+evaluator and the reversal echo restrict it to the invariant blocks rho
+occupies, and SectorPropagator diagonalizes its (sector, sector) slices.
+Adaptive DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 """
@@ -165,19 +165,27 @@ def _liouvillian(model):
     return lv.tocsr()
 
 
+def _occupied(lv, x):
+    """Sorted indices of the Liouvillian components that vec(rho) x touches.
+
+    Each connected component of the sparsity pattern is an invariant
+    subspace of vec(rho) (Buca & Prosen, NJP 14, 073007, 2012), so an
+    evolution of x needs only these entries; every other one stays 0.
+    """
+    _, labels = connected_components(lv.astype(bool), directed=False)
+    return np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
+
+
 def _exact_series(model, rho, t_end, samples):
     """Density matrices at `samples` equally spaced times in [0, t_end].
 
-    Exact for a time-independent generator.  Each connected component of
-    the Liouvillian's sparsity pattern is an invariant subspace of vec(rho)
-    (Buca & Prosen, NJP 14, 073007, 2012), so expm_multiply runs only on
-    the components rho occupies; every other entry stays exactly 0.
+    Exact for a time-independent generator; expm_multiply runs only on
+    the Liouvillian components rho occupies (_occupied).
     """
     d = model.dim
     lv = _liouvillian(model)
-    _, labels = connected_components(lv.astype(bool), directed=False)
     x = rho.reshape(-1)
-    idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
+    idx = _occupied(lv, x)
     kept = np.zeros((samples, idx.size), dtype=complex)
     if idx.size:
         kept = expm_multiply(lv[idx][:, idx], x[idx], start=0.0, stop=t_end,
@@ -219,6 +227,9 @@ def _sample_rho(rho_list, times, model, observables, meta):
 
 def _rk_series(model, rho, t_end, samples):
     """The grid of _exact_series, by DOP853 at local relative tol RK_TOL."""
+    if t_end == 0:
+        # solve_ivp cannot integrate over an empty interval
+        return (rho.copy() for _ in range(samples))
     d, h = model.dim, model.hamiltonian
     jumps = [(op, op.conj().T @ op, rate)
              for op, rate in model.active_jumps()]
@@ -272,6 +283,52 @@ def propagate(model, rho, t):
     if t == 0.0:
         return rho
     return list(_exact_series(model, rho, t, 2))[-1]
+
+
+def reversal_echo(model, rho0, readout, times):
+    """Tr(readout rho) after running the model for t, then for t with -H.
+
+    Evaluated in the Heisenberg picture.  H is Hermitian, and when every
+    active jump is too (else ValueError), the reversed model's (-H, same
+    jumps) Liouvillian is the conjugate transpose of the forward one, L_f,
+    so
+
+        Tr(O e^{L_r t} e^{L_f t} rho0) = <e^{L_f t} O, e^{L_f t} rho0>,
+
+    and both legs run forward under one generator, restricted to the
+    components rho0 occupies (_occupied).  The pair [vec rho0, vec O] is
+    stepped between the sorted times with expm_multiply (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488, 2011), and the trace of the
+    forward rho is checked at every time, as _sample_rho does.  Returns
+    the real signal at each time, in the order given.
+    """
+    if any(not np.array_equal(op, op.conj().T)
+           for op, _ in model.active_jumps()):
+        raise ValueError("the Heisenberg-picture echo needs Hermitian jumps")
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("gate times must be >= 0")
+    d = model.dim
+    rho = _as_matrix(rho0, d)
+    lv = _liouvillian(model)
+    idx = _occupied(lv, rho.reshape(-1))
+    gen = lv[idx][:, idx]
+    o = np.asarray(readout, dtype=complex).reshape(-1)
+    y = np.stack([rho.reshape(-1)[idx], o[idx]], axis=1)
+    # flat index i*d + j is a multiple of d + 1 exactly when i == j
+    diag = np.flatnonzero(idx % (d + 1) == 0)
+    vals = np.empty(times.size)
+    last = 0.0
+    for k in np.argsort(times, kind="stable"):
+        y = expm_multiply(gen * (times[k] - last), y)
+        drift = abs(y[diag, 0].sum() - 1.0)
+        if drift > TRACE_ABORT:
+            raise IntegrationError(
+                "trace drifted to %.3e at t=%.6g" % (drift, times[k]),
+                last_good_time=last)
+        vals[k] = np.real(np.vdot(y[:, 1], y[:, 0]))
+        last = float(times[k])
+    return vals
 
 
 class SectorPropagator:
@@ -432,6 +489,10 @@ def oscillation_envelope_rate(record, name, frequency):
     y = record.series(name)
     period = 2.0 * math.pi / frequency
     width = max(3, int(round(period / (t[1] - t[0]))))
+    if width > t.size:
+        raise ValueError(
+            "the record (%d samples to t=%.6g) is shorter than one Rabi "
+            "period (%.6g)" % (t.size, t[-1], period))
     trend = np.convolve(y, np.ones(width) / width, mode="same")
     slope, _ = _peak_log_slope(t, y - trend, ENVELOPE_TAIL * t[-1])
     if slope is None:

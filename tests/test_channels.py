@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
+from becsim import lindblad
 from becsim.channels import (
     AXIS_CONVENTIONS,
+    _gate_configuration,
     _sector_echo_series,
     build_cavity_model,
     build_dephasing_model,
@@ -28,12 +31,14 @@ from becsim.channels import (
     run_fig4d,
     site_operator,
 )
+from becsim.errors import IntegrationError
 from becsim.lindblad import (
     LindbladModel,
     SectorPropagator,
     fit_decay_rate,
     integrate_master,
     propagate,
+    reversal_echo,
 )
 from becsim.registers import plus_x_state
 from becsim.spin import spin_operator
@@ -161,6 +166,47 @@ def test_fig4b_exact_reversal_without_dephasing():
     out = run_fig4b(3, gamma=0.0, gate_times=(0.3, 0.7))
     for _, _, err in out:
         assert abs(err) < 1e-8
+
+
+def test_fig4b_builds_one_liouvillian(monkeypatch):
+    # the reversed leg runs on the readout under the forward generator
+    calls = []
+    build = lindblad._liouvillian
+    monkeypatch.setattr(lindblad, "_liouvillian",
+                        lambda model: calls.append(model) or build(model))
+    run_fig4b(2, gate_times=np.linspace(0.1, 0.8, 8))
+    assert len(calls) == 1
+
+
+def test_fig4b_unsorted_times_match_single_calls():
+    times = (0.7, 0.2, math.pi / 8, 0.2, 0.0)
+    out = run_fig4b(3, gamma=0.02, gate_times=times)
+    assert [t for _, t, _ in out] == list(times)
+    for _, t, err in out:
+        single = run_fig4b(3, gamma=0.02, gate_times=(t,))[0][2]
+        assert err == pytest.approx(single, rel=1e-10, abs=1e-14)
+
+
+def test_reversal_echo_rejects_bad_input():
+    model, rho0, readout, _ = _gate_configuration(1, 0.01, 1.0, "caption")
+    lowering = np.array([[0, 1, 0, 0], [0, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, 0, 0]], dtype=complex)
+    lossy = LindbladModel(model.hamiltonian, ((lowering, 0.1),))
+    with pytest.raises(ValueError, match="Hermitian jumps"):
+        reversal_echo(lossy, rho0, readout, (0.5,))
+    with pytest.raises(ValueError, match="gate times must be >= 0"):
+        run_fig4b(1, gate_times=(0.5, -0.1))
+
+
+def test_fig4b_stops_on_trace_drift(monkeypatch):
+    # a generator that does not preserve the trace: Tr rho = exp(1e-3 t)
+    build = lindblad._liouvillian
+    monkeypatch.setattr(lindblad, "_liouvillian", lambda model: (
+        build(model) + 1e-3 * sp.identity(model.dim ** 2, format="csr")))
+    with pytest.raises(IntegrationError, match=r"trace drifted .* at t=0\.5$"
+                       ) as info:
+        run_fig4b(2, gate_times=(0.5, 1e-4))
+    assert info.value.last_good_time == 1e-4
 
 
 def test_fig4a_axis_conventions_agree():

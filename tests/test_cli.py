@@ -61,6 +61,8 @@ def test_unread_flag_exits_1(tmp_path, capsys, monkeypatch):
     ["fig4a", "--samples", "1"],
     ["fig2a", "--samples", "0"],
     ["deutsch", "--N", "0"],
+    ["fig4a", "--omega", "0"],
+    ["fig4c", "--t-end", "1", "--samples", "101"],
 ], ids="_".join)
 def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -120,6 +122,15 @@ def test_fig4a_runs_small(tmp_path):
     header, rows = read_csv(out)
     assert header[0] == "t"
     assert len(rows) == 201
+
+
+def test_fig4a_zero_duration(tmp_path):
+    # the DOP853 engine (N = 4) stays at the start state on every sample
+    out = tmp_path / "f4a.csv"
+    assert main(["fig4a", "--t-end", "0", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert {float(r[0]) for r in rows} == {0.0}
+    assert {float(r[1]) for r in rows} == {1.0}
 
 
 def test_fig4b_error_column_monotone(tmp_path, capsys):

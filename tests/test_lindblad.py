@@ -165,6 +165,20 @@ def test_amplitude_damping_exact(series):
         assert vz == pytest.approx(-ez, abs=1e-7)
 
 
+@pytest.mark.parametrize("series", [lindblad._rk_series,
+                                    lindblad._exact_series],
+                         ids=["rk", "expm"])
+def test_zero_duration_yields_rho0(series):
+    # both engines accept t_end = 0 and stay at the start on every sample
+    sm, _, sx = qubit_ops()
+    model = LindbladModel(0.5 * sx, ((sm, 0.2),))
+    rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+    rhos = list(series(model, rho0, 0.0, 4))
+    assert len(rhos) == 4
+    for rho in rhos:
+        np.testing.assert_array_equal(rho, rho0)
+
+
 def test_diagonal_method_matches_rk():
     _, sz, sx = qubit_ops()
     model = LindbladModel(0.7 * sz, ((sz, 0.3),))
@@ -345,4 +359,10 @@ def test_envelope_rate_detrends_and_fits_the_tail():
     rec = EvolutionRecord(times=t, observables={"y": short},
                           trace_dev=0.0, herm_defect=0.0)
     with pytest.raises(ValueError):
+        oscillation_envelope_rate(rec, "y", 3.0)
+    # a record shorter than one period cannot be detrended
+    rec = EvolutionRecord(times=t[:100], observables={"y": y[:100]},
+                          trace_dev=0.0, herm_defect=0.0)
+    with pytest.raises(ValueError, match=r"100 samples .* shorter than "
+                                         r"one Rabi period \(2\.0944\)"):
         oscillation_envelope_rate(rec, "y", 3.0)
