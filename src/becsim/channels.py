@@ -205,12 +205,13 @@ def run_fig4a(n_atoms, gamma=0.01, omega2=1.0, t_end=None, samples=801,
 
     Records the site-1 polarization along its initial axis while the
     product gate Hamiltonian runs with dephasing on; revivals at
-    omega2*t = pi/2 degrade with increasing N.
+    |omega2| t = pi/2 degrade with increasing N.  The default t_end is
+    one gate period, 2 pi / |omega2|.
     """
     if omega2 == 0:
         raise ValueError("omega2 must be nonzero: it sets the gate period")
     if t_end is None:
-        t_end = 2.0 * math.pi / omega2
+        t_end = 2.0 * math.pi / abs(omega2)
     model, rho0, readout, name = _gate_configuration(
         n_atoms, gamma, omega2, axis)
     rec = integrate_master(model, rho0, t_end, samples,

@@ -19,30 +19,11 @@ from .atomloss import AtomLossParams, integrate_loss_odes, lifetime_report
 from .errors import CapacityError, IntegrationError, NumericalIntegrityError
 from .lindblad import fit_decay_rate, integrate_master
 
-COMMANDS = ("fig2a", "fig2b", "fig4a", "fig4b", "fig4c", "fig4d",
-            "deutsch", "rates", "schedule", "selftest")
-
-# config keys accepted in a key = value file; flags override the file
-CONFIG_KEYS = {
-    "N": int, "N_max": int, "gamma": float, "omega": float,
-    "t_end": float, "samples": int, "axis": str,
-    "out": str, "schedule": str,
-}
-
-# the keys each command reads, with their defaults (None: the protocol's
-# own); a flag for any other key is an argument error
-DEFAULTS = {
-    "fig2a": {"N": 10, "samples": 201, "t_end": math.pi / 2.0},
-    "fig2b": {"N_max": 30},
-    "fig4a": {"N": 4, "gamma": 0.01, "omega": 1.0, "samples": 801,
-              "axis": "caption", "t_end": None},
-    "fig4b": {"N_max": 6, "gamma": 0.01, "omega": 1.0, "samples": 13},
-    "fig4c": {"N": 4, "gamma": 0.1, "samples": 6001, "t_end": None},
-    "fig4d": {"N_max": 4, "gamma": 1.0},
-    "deutsch": {"N": 10},
-    "rates": {"t_end": 20.0, "samples": 201},
-    "schedule": {"N": 2},
-    "selftest": {},
+# every key a flag or a config line may set, with its type; schedule
+# (a schedule file path) is the one key with no flag
+KEYS = {
+    "out": str, "N": int, "N_max": int, "gamma": float, "omega": float,
+    "t_end": float, "samples": int, "axis": str, "schedule": str,
 }
 
 # the smallest value each integer key accepts
@@ -62,14 +43,12 @@ def _build_parser():
     p = _Parser(prog="becsim", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="key = value parameter file")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--N-max", type=int, dest="N_max")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--axis", choices=("paper-body", "caption"))
+    for key, kind in KEYS.items():
+        if key != "schedule":
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=kind,
+                choices=channels.AXIS_CONVENTIONS if key == "axis" else None,
+                help="CSV output path" if key == "out" else None)
     return p
 
 
@@ -85,10 +64,10 @@ def parse_config_file(path):
                 raise ArgumentError("%s:%d: expected key = value" % (path, lineno))
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in CONFIG_KEYS:
+            if key not in KEYS:
                 raise ArgumentError("%s:%d: unknown key %r" % (path, lineno, key))
             try:
-                out[key] = CONFIG_KEYS[key](value)
+                out[key] = KEYS[key](value)
             except ValueError:
                 raise ArgumentError("%s:%d: bad value for %s: %r"
                                     % (path, lineno, key, value))
@@ -101,19 +80,19 @@ def resolve_params(args):
     A config file may serve several commands, so its unread keys pass.
     The floats a command reads must be finite, its integers >= MINIMA.
     """
-    params = dict(DEFAULTS[args.command])
+    reads = dict(COMMANDS[args.command][1], out=None)
+    params = dict(reads)
     if args.config:
         params.update(parse_config_file(args.config))
-    for key in ("N", "N_max", "gamma", "omega", "t_end", "samples", "axis",
-                "out"):
-        value = getattr(args, key)
+    for key in KEYS:
+        value = getattr(args, key, None)   # schedule has no flag
         if value is None:
             continue
-        if key != "out" and key not in DEFAULTS[args.command]:
+        if key not in reads:
             raise ArgumentError("%s does not use --%s"
                                 % (args.command, key.replace("_", "-")))
         params[key] = value
-    for key in DEFAULTS[args.command]:
+    for key in reads:
         value = params[key]
         if isinstance(value, float) and not math.isfinite(value):
             raise ArgumentError("%s must be finite, got %r" % (key, value))
@@ -181,7 +160,7 @@ def cmd_fig4a(params, out):
     write_csv(out, *rec.table())
     name = rec.meta["signal"]
     t = rec.times
-    i = int(np.argmin(np.abs(t - math.pi / (2 * params["omega"]))))
+    i = int(np.argmin(np.abs(t - math.pi / (2 * abs(params["omega"])))))
     print("fig4a: N=%d axis=%s, |signal| at omega t = pi/2: %.5f"
           % (params["N"], params["axis"], abs(rec.series(name)[i])))
     _check("record healthy (trace within 1e-7)", not rec.failed)
@@ -189,11 +168,15 @@ def cmd_fig4a(params, out):
 
 
 def cmd_fig4b(params, out):
+    # gate times follow the entangling phase |omega| t
+    omega = abs(params["omega"])
+    if omega == 0:
+        raise ValueError("omega2 must be nonzero: it sets the gate period")
     rows = []
     short_errors = []
     for n in range(1, params["N_max"] + 1):
-        short = math.pi / (4.0 * n)
-        times = np.linspace(0.0, math.pi / 4.0, params["samples"])[1:]
+        short = math.pi / (4.0 * n) / omega
+        times = np.linspace(0.0, math.pi / 4.0, params["samples"])[1:] / omega
         times = np.append(times, short)
         for _, t, err in channels.run_fig4b(n, gamma=params["gamma"],
                                             omega2=params["omega"],
@@ -292,7 +275,7 @@ term 0.7853981633974483 1:z 2:z ; 1.0
 def cmd_schedule(params, out):
     n = params["N"]
     text = DEMO_SCHEDULE
-    if params.get("schedule"):
+    if params["schedule"]:
         with open(params["schedule"], encoding="utf-8") as fh:
             text = fh.read()
     qubit_steps = schedules.parse_schedule(text)
@@ -381,11 +364,23 @@ def cmd_selftest(params, out):
     return 0 if ok else 2
 
 
-HANDLERS = {
-    "fig2a": cmd_fig2a, "fig2b": cmd_fig2b, "fig4a": cmd_fig4a,
-    "fig4b": cmd_fig4b, "fig4c": cmd_fig4c, "fig4d": cmd_fig4d,
-    "deutsch": cmd_deutsch, "rates": cmd_rates, "schedule": cmd_schedule,
-    "selftest": cmd_selftest,
+# each command's handler and the keys it reads, with their defaults (None:
+# the protocol's own, or schedule's built-in demo); every command also
+# reads out, and a flag for any other key is an argument error
+COMMANDS = {
+    "fig2a": (cmd_fig2a, {"N": 10, "samples": 201, "t_end": math.pi / 2.0}),
+    "fig2b": (cmd_fig2b, {"N_max": 30}),
+    "fig4a": (cmd_fig4a, {"N": 4, "gamma": 0.01, "omega": 1.0, "samples": 801,
+                          "axis": "caption", "t_end": None}),
+    "fig4b": (cmd_fig4b, {"N_max": 6, "gamma": 0.01, "omega": 1.0,
+                          "samples": 13}),
+    "fig4c": (cmd_fig4c, {"N": 4, "gamma": 0.1, "samples": 6001,
+                          "t_end": None}),
+    "fig4d": (cmd_fig4d, {"N_max": 4, "gamma": 1.0}),
+    "deutsch": (cmd_deutsch, {"N": 10}),
+    "rates": (cmd_rates, {"t_end": 20.0, "samples": 201}),
+    "schedule": (cmd_schedule, {"N": 2, "schedule": None}),
+    "selftest": (cmd_selftest, {}),
 }
 
 
@@ -396,9 +391,9 @@ def main(argv=None):
     except (ArgumentError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    out = params.get("out") or ("%s.csv" % args.command)
+    out = params["out"] or ("%s.csv" % args.command)
     try:
-        return HANDLERS[args.command](params, out)
+        return COMMANDS[args.command][0](params, out)
     # LinAlgError is a ValueError, but a failed decomposition is numerical
     except (CapacityError, IntegrationError, NumericalIntegrityError,
             np.linalg.LinAlgError) as exc:

@@ -220,7 +220,8 @@ def _sample_rho(rho_list, times, model, observables, meta):
             w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
             min_eig[i] = w[0]
         for name in names:
-            obs[name][i] = np.real(np.trace(observables[name] @ rho))
+            # Tr(O rho) as an elementwise sum: O(d^2), not a d^3 product
+            obs[name][i] = np.real(np.sum(observables[name].T * rho))
     return EvolutionRecord(np.asarray(times), obs, trace_dev, herm,
                            min_eig=min_eig, meta=meta)
 

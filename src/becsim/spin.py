@@ -90,11 +90,6 @@ class CoherentParams:
             return cmath.phase(self.beta) % (2 * math.pi)
         return (cmath.phase(self.beta) - cmath.phase(self.alpha)) % (2 * math.pi)
 
-    @property
-    def global_phase(self) -> float:
-        # phase factored out of alpha by the angular decomposition
-        return cmath.phase(self.alpha) if abs(self.alpha) > 0 else 0.0
-
 
 @dataclass(frozen=True)
 class SpinState:
@@ -188,22 +183,13 @@ def overlap_numeric(s1: SpinState, s2: SpinState) -> complex:
 def overlap_analytic(p1: CoherentParams, p2: CoherentParams) -> complex:
     """Closed-form overlap <<alpha1,beta1 | alpha2, beta2>> of coherent states.
 
-    Evaluated in the Bloch-angle form; reduces to cos^N((theta2-theta1)/2)
-    at equal azimuth.
+    Evaluated as (conj(alpha1) alpha2 + conj(beta1) beta2)^N; reduces to
+    cos^N((theta2-theta1)/2) at equal azimuth.
     """
     if p1.n_atoms != p2.n_atoms:
         raise ValueError("states must share the same boson number")
-    n = p1.n_atoms
-    th1, ph1 = p1.theta, p1.phi
-    th2, ph2 = p2.theta, p2.phi
-    # sign of the azimuth difference fixed by matching <p1|p2> in the Fock basis
-    dphi = ph1 - ph2
-    base = math.cos((th2 - th1) / 2) * math.cos(dphi / 2) + 1j * math.cos(
-        (th2 + th1) / 2
-    ) * math.sin(dphi / 2)
-    # restore the global phases the angular decomposition strips from alpha
-    gp = cmath.exp(1j * n * (p2.global_phase - p1.global_phase))
-    return gp * cmath.exp(-1j * dphi * n / 2) * base**n
+    base = p1.alpha.conjugate() * p2.alpha + p1.beta.conjugate() * p2.beta
+    return base**p1.n_atoms
 
 
 def enumerate_occupations(mode_count, total_n):

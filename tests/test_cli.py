@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from becsim.cli import (COMMANDS, _build_parser, main, parse_config_file,
-                        resolve_params, write_csv)
+from becsim.channels import AXIS_CONVENTIONS
+from becsim.cli import (COMMANDS, KEYS, _build_parser, main,
+                        parse_config_file, resolve_params, write_csv)
 
 OPERATIONS = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
               / "operations.py")
@@ -20,8 +21,26 @@ def read_csv(path):
 
 
 def test_all_commands_registered():
-    assert COMMANDS == ("fig2a", "fig2b", "fig4a", "fig4b", "fig4c", "fig4d",
-                        "deutsch", "rates", "schedule", "selftest")
+    assert tuple(COMMANDS) == ("fig2a", "fig2b", "fig4a", "fig4b", "fig4c",
+                               "fig4d", "deutsch", "rates", "schedule",
+                               "selftest")
+
+
+def test_flags_come_from_keys(capsys):
+    parser = _build_parser()
+    dests = set(vars(parser.parse_args(["selftest"]))) - {"command", "config"}
+    assert dests == set(KEYS) - {"schedule"}
+    for axis in AXIS_CONVENTIONS:
+        assert parser.parse_args(["fig4a", "--axis", axis]).axis == axis
+    # schedule is set only by a config line
+    assert main(["schedule", "--schedule", "x.txt"]) == 1
+    assert "unrecognized arguments: --schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_bare_argv_resolves_registered_keys(command):
+    params = resolve_params(_build_parser().parse_args([command]))
+    assert params == dict(COMMANDS[command][1], out=None)
 
 
 def test_write_csv_keeps_every_digit(tmp_path):
@@ -62,6 +81,7 @@ def test_unread_flag_exits_1(tmp_path, capsys, monkeypatch):
     ["fig2a", "--samples", "0"],
     ["deutsch", "--N", "0"],
     ["fig4a", "--omega", "0"],
+    ["fig4b", "--omega", "0"],
     ["fig4c", "--t-end", "1", "--samples", "101"],
 ], ids="_".join)
 def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
@@ -124,6 +144,20 @@ def test_fig4a_runs_small(tmp_path):
     assert len(rows) == 201
 
 
+def test_fig4a_time_follows_abs_omega(tmp_path, capsys):
+    # a negative coupling runs the same gate, with the default period and
+    # the omega t = pi/2 readout taken at |omega|
+    texts, tables = [], []
+    for omega in ("1", "-1"):
+        out = tmp_path / ("f4a%s.csv" % omega)
+        assert main(["fig4a", "--N", "2", "--omega", omega, "--samples", "201",
+                     "--out", str(out)]) == 0
+        texts.append(capsys.readouterr().out)
+        tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    assert texts[0] == texts[1]
+    np.testing.assert_allclose(tables[1], tables[0], rtol=0, atol=1e-12)
+
+
 def test_fig4a_zero_duration(tmp_path):
     # the DOP853 engine (N = 4) stays at the start state on every sample
     out = tmp_path / "f4a.csv"
@@ -137,6 +171,20 @@ def test_fig4b_error_column_monotone(tmp_path, capsys):
     out = tmp_path / "f4b.csv"
     assert main(["fig4b", "--N-max", "3", "--out", str(out)]) == 0
     assert "PASS: error at t=pi/4N decreases with N" in capsys.readouterr().out
+
+
+def test_fig4b_time_follows_abs_omega(tmp_path):
+    # omega = 2 at time t is omega = 1 with half the dephasing rate at 2t
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["fig4b", "--N-max", "3", "--omega", "2",
+                 "--out", str(a)]) == 0
+    assert main(["fig4b", "--N-max", "3", "--gamma", "0.005",
+                 "--out", str(b)]) == 0
+    fast = np.loadtxt(a, delimiter=",", skiprows=1)
+    slow = np.loadtxt(b, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(fast[:, 0], slow[:, 0])
+    np.testing.assert_allclose(fast[:, 1], slow[:, 1] / 2, rtol=1e-15)
+    np.testing.assert_allclose(fast[:, 2], slow[:, 2], rtol=0, atol=1e-12)
 
 
 def test_fig4c_envelope_check(tmp_path, capsys):
