@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
-from .spin import CoherentParams, SpinState, make_coherent, sqrt_binomial
+from .spin import CoherentParams, SpinState, log_binomial, make_coherent
 
 MAX_AMPLITUDES = 10**7
 
@@ -135,23 +135,25 @@ def apply_zz(reg: BecRegister, site_i: int, site_j: int, omega_t: float) -> BecR
     return BecRegister(reg.site_n, (tens * phases).reshape(-1))
 
 
+def _half_weights(n: int) -> np.ndarray:
+    """sqrt(C(n, k) / 2^n) for k = 0..n, the |+x> weights, in log space."""
+    return np.exp(0.5 * (log_binomial(n, np.arange(n + 1)) - n * math.log(2.0)))
+
+
 def entangled_state_analytic(n1: int, n2: int, omega_t: float) -> BecRegister:
     """Closed form of exp(-i omega_t Sz Sz) on two +x-polarized BECs.
 
     Site 2 is expanded over its Fock basis; each |k2> is attached to the
-    coherent state on site 1 whose azimuth is rotated by (N2 - 2 k2) omega_t.
+    coherent state on site 1 whose azimuth is rotated by
+    chi = (N2 - 2 k2) omega_t, so the amplitude of |k1 k2> is
+    w2[k2] w1[k1] exp(i chi (2 k1 - N1)) with w the |+x> weights.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("boson numbers must be >= 1")
-    amps = np.zeros((n1 + 1, n2 + 1), dtype=complex)
-    w2 = sqrt_binomial(n2, np.arange(n2 + 1)) / math.sqrt(2.0**n2)
-    r = 1 / math.sqrt(2)
-    for k2 in range(n2 + 1):
-        chi = (n2 - 2 * k2) * omega_t
-        branch = make_coherent(
-            CoherentParams(r * cmath.exp(1j * chi), r * cmath.exp(-1j * chi), n1)
-        )
-        amps[:, k2] = w2[k2] * branch.amps
+    chi = (n2 - 2 * np.arange(n2 + 1)) * omega_t
+    chi = np.angle(np.exp(1j * chi))   # wrapped, as a branch's azimuth is
+    phases = np.exp(1j * np.outer(2 * np.arange(n1 + 1) - n1, chi))
+    amps = np.outer(_half_weights(n1), _half_weights(n2)) * phases
     return BecRegister((n1, n2), amps.reshape(-1))
 
 
@@ -177,7 +179,7 @@ def entropy(rho: DensityMatrix) -> EntropyResult:
     w = rho.eigenvalues()
     w = w[w > EIGENVALUE_CLIP]
     bits = float(-np.sum(w * np.log2(w)))
-    return EntropyResult(max(bits, 0.0), math.log2(rho.dim))
+    return EntropyResult(max(0.0, bits), math.log2(rho.dim))  # 0.0, not -0.0
 
 
 def entanglement_entropy(reg: BecRegister, keep_site: int = 0) -> EntropyResult:
@@ -216,7 +218,7 @@ def cat_decomposition(n_atoms: int) -> BecRegister:
     branch_even = make_coherent(CoherentParams(alpha_c, beta_c, n))
     branch_odd = make_coherent(CoherentParams(-alpha_c, beta_c, n))
     k1 = np.arange(n + 1)
-    weights = sqrt_binomial(n, k1) / math.sqrt(2.0**n) * np.exp(1j * math.pi * n * k1 / 2)
+    weights = _half_weights(n) * np.exp(1j * math.pi * n * k1 / 2)
     amps = np.zeros((n + 1, n + 1), dtype=complex)
     even = k1 % 2 == 0
     amps[even, :] = weights[even, None] * branch_even.amps[None, :]

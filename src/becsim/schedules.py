@@ -94,10 +94,15 @@ def map_qubit_schedule(qubit_steps: Sequence[GateStep], n_atoms: int) -> list[Ga
     return out
 
 
-def _term_matrix(term: SpinProductTerm, site_n: Sequence[int]) -> np.ndarray:
-    axis_of = dict(term.factors)
-    return kron_product([spin_operator(axis_of.get(site, "I"), n)
-                         for site, n in enumerate(site_n)], term.coeff)
+def _site_axes(term: SpinProductTerm, site_n: Sequence[int]) -> list[str]:
+    """The term's axis on every site of the register, "I" where it has none."""
+    axes = ["I"] * len(site_n)
+    for site, axis in term.factors:
+        if site >= len(site_n):
+            raise ValueError(f"term acts on site index {site}, outside a "
+                             f"register of {len(site_n)} site(s)")
+        axes[site] = axis
+    return axes
 
 
 def step_hamiltonian(step: GateStep, site_n: Sequence[int]) -> np.ndarray:
@@ -105,7 +110,9 @@ def step_hamiltonian(step: GateStep, site_n: Sequence[int]) -> np.ndarray:
     dim = math.prod(n + 1 for n in site_n)
     if dim > MAX_DENSE_DIM:
         raise CapacityError(f"dense exponentiation limited to dim {MAX_DENSE_DIM}")
-    mats = [_term_matrix(t, site_n) for t in step.terms]
+    mats = [kron_product([spin_operator(a, n) for a, n in
+                          zip(_site_axes(t, site_n), site_n)], t.coeff)
+            for t in step.terms]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -114,20 +121,48 @@ def step_hamiltonian(step: GateStep, site_n: Sequence[int]) -> np.ndarray:
                     "steps with non-commuting terms are not supported; "
                     "split them into separate steps"
                 )
-    h = np.zeros((dim, dim), dtype=complex)
-    for m in mats:
-        h += m
-    return h
+    return sum(mats, np.zeros((dim, dim), dtype=complex))
+
+
+def _on_site(mat: np.ndarray, tens: np.ndarray, site: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(mat, tens, axes=([1], [site])), 0, site)
 
 
 def run_schedule(reg: BecRegister, steps: Iterable[GateStep]) -> BecRegister:
-    """Apply exp(-i H t) for each step in order, by exact eigendecomposition."""
-    amps = reg.amps
+    """Apply exp(-i H t) for each step in order, one term at a time.
+
+    A step's terms commute, and each is a product of single-site spin
+    operators, so its exponential is a phase in the product of the sites'
+    eigenbases (Fock for z, one (N+1)-dim eigh for x or y).  Only a pair of
+    terms with two axes on one site is checked densely, by step_hamiltonian.
+    """
+    tens = reg.as_tensor()
+    eig = {}   # (axis, N) -> eigenvalues, eigenvectors (None: the Fock basis)
     for step in steps:
-        h = step_hamiltonian(step, reg.site_n)
-        evals, evecs = np.linalg.eigh(h)
-        amps = evecs @ (np.exp(-1j * step.time * evals) * (evecs.conj().T @ amps))
-    return BecRegister(reg.site_n, amps)
+        axes = [_site_axes(t, reg.site_n) for t in step.terms]
+        for i in range(len(axes)):
+            for j in range(i + 1, len(axes)):
+                if any(a != b and "I" not in (a, b)
+                       for a, b in zip(axes[i], axes[j])):
+                    step_hamiltonian(GateStep((step.terms[i], step.terms[j]),
+                                              step.time), reg.site_n)
+        for term, term_axes in zip(step.terms, axes):
+            vals, bases = [], []
+            for site, (axis, n) in enumerate(zip(term_axes, reg.site_n)):
+                if axis != "I" and (axis, n) not in eig:
+                    eig[axis, n] = ((2.0 * np.arange(n + 1) - n, None)
+                                    if axis == "z" else
+                                    np.linalg.eigh(spin_operator(axis, n)))
+                evals, evecs = eig.get((axis, n), (np.ones(1), None))
+                vals.append(evals)
+                if evecs is not None:
+                    tens = _on_site(evecs.conj().T, tens, site)
+                    bases.append((site, evecs))
+            phase = step.time * term.coeff * math.prod(np.ix_(*vals))
+            tens = tens * np.exp(-1j * phase)
+            for site, evecs in bases:
+                tens = _on_site(evecs, tens, site)
+    return BecRegister(reg.site_n, tens.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

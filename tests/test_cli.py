@@ -126,6 +126,13 @@ def test_fig2a_writes_entropy_curve(tmp_path):
     assert max(bits) > 1.0   # exceeds one bit near omega t = pi/4
 
 
+def test_fig2a_past_float_range_of_two_to_the_n(tmp_path):
+    out = tmp_path / "f2a.csv"
+    assert main(["fig2a", "--N", "1024", "--samples", "2",
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 2
+
+
 def test_fig2b_flatness_report(tmp_path, capsys):
     out = tmp_path / "f2b.csv"
     assert main(["fig2b", "--N-max", "6", "--out", str(out)]) == 0

@@ -33,16 +33,23 @@ def test_tracer_installs_and_uninstalls():
     operations = _load("operations")
     assert set(operations.WORKLOADS) == {"cavity_bus", "rabi_rk",
                                          "sparse_expm", "pure_gates"}
-    from becsim import lindblad
-    originals = dict(vars(lindblad))
+    from becsim import lindblad, registers, schedules, spin
+    originals = {module: dict(vars(module))
+                 for module in (lindblad, registers, schedules, spin)}
+    wrapped = ((lindblad, "propagate"), (schedules, "step_hamiltonian"),
+               (schedules, "run_schedule"),
+               (registers, "entangled_state_analytic"),
+               (spin, "make_coherent"))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert tracer._patches
-        assert lindblad.propagate is not originals["propagate"]
+        for module, name in wrapped:
+            assert vars(module)[name] is not originals[module][name], name
     finally:
         tracer.uninstall()
-    assert all(vars(lindblad)[k] is v for k, v in originals.items())
+    for module, before in originals.items():
+        assert all(vars(module)[k] is v for k, v in before.items())
 
     prop = lindblad.SectorPropagator
     assert list(inspect.signature(prop.block_eig).parameters) == \

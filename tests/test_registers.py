@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from becsim import registers
 from becsim.errors import CapacityError, NumericalIntegrityError
 from becsim.registers import (
     BecRegister,
@@ -23,7 +24,8 @@ from becsim.registers import (
     schmidt_weights,
     tensor,
 )
-from becsim.spin import CoherentParams, make_coherent, make_fock
+from becsim.spin import (CoherentParams, make_coherent, make_fock,
+                         sqrt_binomial)
 
 
 def two_site_plus_x(n1, n2):
@@ -71,6 +73,41 @@ def test_entangled_state_analytic_matches_gate(n1, n2):
         gate = apply_zz(two_site_plus_x(n1, n2), 0, 1, wt)
         closed = entangled_state_analytic(n1, n2, wt)
         assert register_fidelity(gate, closed) == pytest.approx(1.0, abs=1e-12)
+
+
+def branch_oracle(n1, n2, omega_t):
+    """Site 2 over its Fock basis, one site-1 coherent branch per |k2>."""
+    amps = np.zeros((n1 + 1, n2 + 1), dtype=complex)
+    w2 = sqrt_binomial(n2, np.arange(n2 + 1)) / math.sqrt(2.0 ** n2)
+    r = 1 / math.sqrt(2)
+    for k2 in range(n2 + 1):
+        chi = (n2 - 2 * k2) * omega_t
+        branch = make_coherent(CoherentParams(r * cmath.exp(1j * chi),
+                                              r * cmath.exp(-1j * chi), n1))
+        amps[:, k2] = w2[k2] * branch.amps
+    return amps.reshape(-1)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (3, 7), (20, 11), (50, 50),
+                                   (200, 200)])
+def test_entangled_state_analytic_matches_branch_oracle(n1, n2, monkeypatch):
+    oracle = {wt: branch_oracle(n1, n2, wt)
+              for wt in (0.0, 0.15, math.pi / 4, math.pi / 2, 2.7)}
+    calls = []
+    monkeypatch.setattr(registers, "make_coherent",
+                        lambda p: calls.append(p) or make_coherent(p))
+    for wt, amps in oracle.items():
+        closed = entangled_state_analytic(n1, n2, wt)
+        assert np.max(np.abs(closed.amps - amps)) < 1e-12
+    assert not calls
+
+
+def test_closed_forms_past_float_range_of_two_to_the_n():
+    # 2**1100 overflows a float; the weights are taken in log space
+    for reg in (entangled_state_analytic(1, 1100, 0.1),
+                cat_decomposition(1100)):
+        assert np.sum(np.abs(reg.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(reg.amps))
 
 
 def test_entangler_single_atom_quarter_period():

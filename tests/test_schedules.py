@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from becsim.registers import plus_x_state, register_fidelity, tensor, apply_zz
+from becsim.registers import (BecRegister, apply_zz, plus_x_state,
+                              register_fidelity, tensor)
 from becsim.schedules import (
     ORACLE_IDS,
     DeutschOracle,
@@ -40,8 +42,11 @@ def test_step_hamiltonian_rejects_noncommuting_terms():
     step = GateStep(
         (SpinProductTerm(1.0, ((0, "x"),)), SpinProductTerm(1.0, ((0, "z"),))),
         0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as dense:
         step_hamiltonian(step, (2,))
+    with pytest.raises(ValueError) as run:
+        run_schedule(tensor([plus_x_state(2)]), [step])
+    assert str(run.value) == str(dense.value)
 
 
 def test_run_schedule_matches_diagonal_gate():
@@ -52,6 +57,80 @@ def test_run_schedule_matches_diagonal_gate():
     out = run_schedule(reg, [step])
     assert register_fidelity(out, apply_zz(reg, 0, 1, wt)) == pytest.approx(
         1.0, abs=1e-12)
+
+
+def dense_schedule(reg, steps):
+    """Oracle: exponentiate each step's dense Hamiltonian by eigh."""
+    amps = reg.amps
+    for step in steps:
+        evals, evecs = np.linalg.eigh(step_hamiltonian(step, reg.site_n))
+        amps = evecs @ (np.exp(-1j * step.time * evals)
+                        * (evecs.conj().T @ amps))
+    return amps
+
+
+@st.composite
+def one_axis_schedules(draw):
+    """Random register and steps that keep one axis per site in each step."""
+    site_n = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = math.prod(n + 1 for n in site_n)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        axes = draw(st.lists(st.sampled_from("xyz"), min_size=len(site_n),
+                             max_size=len(site_n)))
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            sites = draw(st.lists(st.integers(0, len(site_n) - 1),
+                                  unique=True, max_size=len(site_n)))
+            factors = tuple((s, draw(st.sampled_from((axes[s], "I"))))
+                            for s in sites)
+            terms.append(SpinProductTerm(draw(st.floats(-2.0, 2.0)), factors))
+        steps.append(GateStep(tuple(terms), draw(st.floats(0.0, 2.0))))
+    return BecRegister(site_n, amps / np.linalg.norm(amps)), steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_axis_schedules())
+def test_run_schedule_matches_dense_oracle(case):
+    reg, steps = case
+    assert np.max(np.abs(run_schedule(reg, steps).amps
+                         - dense_schedule(reg, steps))) < 1e-10
+
+
+def test_run_schedule_commuting_mixed_axes_single_atoms():
+    # for N = 1, XX, YY and ZZ commute: one step with three axes per site
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    reg = BecRegister((1, 1), amps / np.linalg.norm(amps))
+    steps = [GateStep(tuple(SpinProductTerm(c, ((0, a), (1, a)))
+                            for c, a in ((0.3, "x"), (-0.7, "y"), (1.1, "z"))),
+                      0.9),
+             GateStep((SpinProductTerm(0.5, ((1, "y"),)),), 0.4)]
+    assert np.max(np.abs(run_schedule(reg, steps).amps
+                         - dense_schedule(reg, steps))) < 1e-10
+
+
+def test_run_schedule_rejects_site_outside_register():
+    step = GateStep((SpinProductTerm(1.0, ((0, "z"), (5, "x"))),), 0.1)
+    reg = tensor([plus_x_state(2), plus_x_state(2)])
+    with pytest.raises(ValueError, match="site index 5.* 2 site"):
+        run_schedule(reg, [step])
+
+
+def test_deutsch_diagonalizes_nothing_register_sized(monkeypatch):
+    # the oracle terms are products of Sz: no eigh larger than one site
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert run_deutsch(DeutschOracle("bal01", 30))[0] == "balanced"
+    assert all(n <= 31 for n in sizes)
 
 
 def test_map_qubit_schedule_scaling():
@@ -94,7 +173,7 @@ def test_parse_schedule_ignores_comments_and_blanks():
 
 
 @pytest.mark.parametrize("oracle_id", ORACLE_IDS)
-@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_deutsch_classification(oracle_id, n):
     oracle = DeutschOracle(oracle_id, n)
     classification, readout = run_deutsch(oracle)
