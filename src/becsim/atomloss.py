@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
+from .lindblad import solve_ivp
 
 #: Reported lifetime when the corresponding rate vanishes.
 INFINITE_LIFETIME = math.inf
@@ -92,6 +92,10 @@ def integrate_loss_odes(p, t_end, samples):
         return (dna, dnb)
 
     times = np.linspace(0.0, t_end, samples)
+    if t_end == 0:
+        # solve_ivp cannot integrate over an empty interval
+        return (times, np.full(samples, float(p.Na0)),
+                np.full(samples, float(p.Nb0)))
     sol = solve_ivp(rhs, (0.0, t_end), (float(p.Na0), float(p.Nb0)),
                     t_eval=times, method="RK45", rtol=1e-10, atol=1e-12)
     if not sol.success:

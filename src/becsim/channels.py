@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
 from .lindblad import (LindbladModel, SectorPropagator, integrate_master,
-                       reversal_echo, MAX_DENSITY_DIM)
+                       linregress, reversal_echo, MAX_DENSITY_DIM)
 # the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
 from .lindblad import oscillation_envelope_rate  # noqa: F401
 from .spin import (MultiModeBasis, OccupationBasis, kron_product,
@@ -447,7 +447,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     signal = 1.0 - errs
     mask = signal > 1e-8
     if mask.sum() >= 3:
-        slope = np.polyfit(gate_times[mask], np.log(signal[mask]), 1)[0]
+        slope = linregress(gate_times[mask], np.log(signal[mask]))
         fitted = max(0.0, -slope / 4.0)
     else:
         fitted = float("nan")

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
-from scipy.stats import linregress
 
 from .errors import CapacityError, IntegrationError
 # the occupation bases live with the Fock basis; perfbench/tracing.py
@@ -224,6 +222,12 @@ def _sample_rho(rho_list, times, model, observables, meta):
             obs[name][i] = np.real(np.sum(observables[name].T * rho))
     return EvolutionRecord(np.asarray(times), obs, trace_dev, herm,
                            min_eig=min_eig, meta=meta)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use to speed start-up."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _rk_series(model, rho, t_end, samples):
@@ -438,6 +442,12 @@ def _envelope_peaks(t, y):
     return peaks
 
 
+def linregress(x, y):
+    """Least-squares slope of y on x: sum(dx dy) / sum(dx^2), centred."""
+    dx = x - np.mean(x)
+    return float(dx @ (y - np.mean(y)) / (dx @ dx))
+
+
 def _peak_log_slope(t, y, t_min=-np.inf):
     """Slope of log peak height against peak time, and the peak count.
 
@@ -448,7 +458,7 @@ def _peak_log_slope(t, y, t_min=-np.inf):
     if len(peaks) < 3:
         return None, len(peaks)
     pt, pa = np.array(peaks).T
-    return linregress(pt, np.log(pa)).slope, len(peaks)
+    return linregress(pt, np.log(pa)), len(peaks)
 
 
 def fit_decay_rate(record, observable):
@@ -469,7 +479,7 @@ def fit_decay_rate(record, observable):
         mask = a > 1e-8 * max(1.0, a.max())
         if mask.sum() < 3:
             return DecayFit(0.0, "none", 0)
-        slope = linregress(t[mask], np.log(a[mask])).slope
+        slope = linregress(t[mask], np.log(a[mask]))
         quality, npts = "direct", int(mask.sum())
     rate = -slope
     if rate <= 0.0:
@@ -489,11 +499,12 @@ def oscillation_envelope_rate(record, name, frequency):
     t = record.times
     y = record.series(name)
     period = 2.0 * math.pi / frequency
-    width = max(3, int(round(period / (t[1] - t[0]))))
-    if width > t.size:
+    # the moving average below needs 3 samples and one period of record
+    if t.size < 3 or t[-1] < period:
         raise ValueError(
             "the record (%d samples to t=%.6g) is shorter than one Rabi "
             "period (%.6g)" % (t.size, t[-1], period))
+    width = max(3, int(round(period / (t[1] - t[0]))))
     trend = np.convolve(y, np.ones(width) / width, mode="same")
     slope, _ = _peak_log_slope(t, y - trend, ENVELOPE_TAIL * t[-1])
     if slope is None:

@@ -80,6 +80,14 @@ def test_loss_csv_shape(tmp_path):
     assert len(lines) == 3
 
 
+def test_zero_duration_yields_initial_populations():
+    p = AtomLossParams(Na0=300.0, Nb0=700.0)
+    times, na, nb = integrate_loss_odes(p, 0.0, 4)
+    assert np.array_equal(times, np.zeros(4))
+    assert np.array_equal(na, np.full(4, 300.0))
+    assert np.array_equal(nb, np.full(4, 700.0))
+
+
 def test_integrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         integrate_loss_odes(AtomLossParams(), -1.0, 10)

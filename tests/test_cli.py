@@ -1,12 +1,15 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import becsim
 from becsim.channels import AXIS_CONVENTIONS
 from becsim.cli import (COMMANDS, KEYS, _build_parser, main,
                         parse_config_file, resolve_params, write_csv)
@@ -83,6 +86,8 @@ def test_unread_flag_exits_1(tmp_path, capsys, monkeypatch):
     ["fig4a", "--omega", "0"],
     ["fig4b", "--omega", "0"],
     ["fig4c", "--t-end", "1", "--samples", "101"],
+    ["fig4c", "--t-end", "0"],
+    ["fig4c", "--t-end", "100", "--samples", "2"],
 ], ids="_".join)
 def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -91,6 +96,30 @@ def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
     assert "error:" in text.err
     assert "PASS" not in text.out and "FAIL" not in text.out
     assert not list(tmp_path.iterdir())
+
+
+IMPORT_PROBE = """
+import sys
+from becsim.cli import main
+deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+assert not [m for m in deferred if m in sys.modules]
+assert main(["fig2a", "--N", "2", "--samples", "3", "--out", "a.csv"]) == 0
+assert not [m for m in deferred if m in sys.modules]
+assert main(["rates", "--samples", "3", "--out", "r.csv"]) == 0
+assert "scipy.integrate" in sys.modules
+assert "scipy.stats" not in sys.modules
+"""
+
+
+def test_cli_imports_only_what_runs(tmp_path):
+    # a fresh interpreter: this test process may already hold scipy.stats
+    src = str(pathlib.Path(becsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unread_config_key_accepted(tmp_path):

@@ -320,6 +320,27 @@ def test_observable_blocks_band_structure():
 # ---------------------------------------------------------------------------
 # decay fitting
 
+def test_linregress_matches_scipy_slope():
+    from scipy.stats import linregress as oracle
+    rng = np.random.default_rng(11)
+    fits = []
+    for _ in range(200):
+        n = int(rng.integers(3, 80))
+        x = rng.normal(rng.normal(0.0, 50.0), rng.uniform(0.1, 30.0), n)
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 20.0)
+        fits.append((x, slope * x + rng.normal(0.0, 1.0, n)))
+    for _ in range(200):
+        # envelope peaks: one or two per Rabi period late in a fig4c run,
+        # log heights falling at rates of order 1e-3
+        t = np.sort(rng.uniform(180.0, 600.0, int(rng.integers(3, 120))))
+        rate = rng.uniform(2e-4, 5e-3)
+        fits.append((t, -rate * t - rng.uniform(0.0, 3.0)
+                     + rng.normal(0.0, 1e-3, t.size)))
+    for x, y in fits:
+        assert lindblad.linregress(x, y) == pytest.approx(
+            oracle(x, y).slope, rel=1e-12, abs=0.0)
+
+
 def test_fit_decay_rate_pure_exponential():
     t = np.linspace(0.0, 4.0, 200)
     rec = EvolutionRecord(times=t, observables={"y": np.exp(-0.37 * t)},

@@ -16,6 +16,8 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -33,21 +35,31 @@ def test_tracer_installs_and_uninstalls():
     operations = _load("operations")
     assert set(operations.WORKLOADS) == {"cavity_bus", "rabi_rk",
                                          "sparse_expm", "pure_gates"}
-    from becsim import lindblad, registers, schedules, spin
+    from becsim import atomloss, lindblad, registers, schedules, spin
     originals = {module: dict(vars(module))
-                 for module in (lindblad, registers, schedules, spin)}
+                 for module in (atomloss, lindblad, registers, schedules,
+                                spin)}
     wrapped = ((lindblad, "propagate"), (schedules, "step_hamiltonian"),
                (schedules, "run_schedule"),
                (registers, "entangled_state_analytic"),
-               (spin, "make_coherent"))
+               (spin, "make_coherent"), (lindblad, "solve_ivp"),
+               (atomloss, "solve_ivp"), (lindblad, "linregress"))
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    model = lindblad.LindbladModel(np.diag([0.0, 1.0]) + 0.3 * (sm + sm.T),
+                                   ((sm, 0.2),))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert tracer._patches
         for module, name in wrapped:
             assert vars(module)[name] is not originals[module][name], name
+        record = lindblad.integrate_master(model, np.eye(2) / 2, 1.0, 5)
     finally:
         tracer.uninstall()
+    assert record.meta["method"] == "rk"
+    stats = tracer.span_stats()
+    assert tracer.value("linalg.solve_ivp.calls", stats) == 1
+    assert tracer.value("linalg.solve_ivp.nfev", stats) > 0
     for module, before in originals.items():
         assert all(vars(module)[k] is v for k, v in before.items())
 
