@@ -122,11 +122,3 @@ def lifetime_report(p):
     three_body = p.L_a * na ** 2
     tau_3b = 1.0 / three_body if three_body > 0 else INFINITE_LIFETIME
     return tau_bg, tau_2b, tau_3b
-
-
-def initial_decay_rate(p):
-    """Total fractional loss rates (state a, state b) at t = 0."""
-    na, nb = p.initial_densities()
-    rate_a = p.Gamma_l + p.K_ab * nb + p.L_a * na ** 2
-    rate_b = p.Gamma_l + p.K_ab * na + p.K_b * nb
-    return rate_a, rate_b

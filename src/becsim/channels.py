@@ -34,8 +34,13 @@ def site_operator(m_sites, n_atoms, factors):
 
     factors maps site index (0-based) to an axis in {x, y, z}; omitted
     sites get the identity.  Site 0 varies slowest, matching the register
-    ordering used for pure states.
+    ordering used for pure states.  A product of side past MAX_DENSITY_DIM
+    is refused before it is formed.
     """
+    dim = (n_atoms + 1) ** m_sites
+    if dim > MAX_DENSITY_DIM:
+        raise CapacityError("%d-site operator dimension %d too large"
+                            % (m_sites, dim))
     return kron_product([spin_operator(factors.get(site, "I"), n_atoms)
                          for site in range(m_sites)])
 
@@ -49,14 +54,12 @@ def build_dephasing_model(m_sites, n_atoms, axis, gamma, hamiltonian=None):
     """
     if axis not in ("x", "z"):
         raise ValueError("dephasing axis must be 'x' or 'z'")
-    dim = (n_atoms + 1) ** m_sites
-    if dim > MAX_DENSITY_DIM:
-        raise CapacityError("dephasing model dimension %d too large" % dim)
-    if hamiltonian is None:
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
     jumps = tuple(
         (site_operator(m_sites, n_atoms, {n: axis}), gamma)
         for n in range(m_sites))
+    if hamiltonian is None:
+        dim = (n_atoms + 1) ** m_sites
+        hamiltonian = np.zeros((dim, dim), dtype=complex)
     return LindbladModel(hamiltonian, jumps)
 
 
@@ -123,9 +126,11 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
     as jumps a+c and b+c at rate gamma_s each (bosonically enhanced decay
     into the occupied ground modes).
     """
+    # the basis size, known before the basis is enumerated
+    size = (n_atoms + 1) * (n_atoms + 2) // 2
+    if size > MAX_DENSITY_DIM:
+        raise CapacityError("three-mode dimension %d too large" % size)
     basis = MultiModeBasis(3, n_atoms)
-    if basis.size > MAX_DENSITY_DIM:
-        raise CapacityError("three-mode dimension %d too large" % basis.size)
     ac = basis.transition(0, 2)
     bc = basis.transition(1, 2)
     h = delta * basis.number(2) + g * (ac + ac.conj().T) \
@@ -246,15 +251,13 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
 class CavityModel:
     """Two three-mode BECs coupled through one cavity photon mode.
 
-    omega0 is the b<->c transition frequency and omega the cavity
-    frequency; the detuning Delta = omega0 - omega is the recorded
-    knob.  cavity_g is the atom-photon coupling (the G of the bus
+    detuning is Delta, the b<->c transition frequency minus the cavity
+    frequency.  cavity_g is the atom-photon coupling (the G of the bus
     Hamiltonian) and gamma_c the photon decay rate.
     """
 
     n_atoms: int
-    omega0: float
-    omega: float
+    detuning: float
     cavity_g: float
     gamma_c: float
     n_ph_max: int = 2
@@ -269,15 +272,11 @@ class CavityModel:
         if self.detuning == 0:
             raise ValueError("detuning must be nonzero")
 
-    @property
-    def detuning(self):
-        return self.omega0 - self.omega
 
-
-def cavity_basis(n_atoms, n_ph_max, exc_max=None):
+def cavity_basis(n_atoms, n_ph_max, exc_max):
     """Occupations (a1,b1,c1,a2,b2,c2,ph), fixed N per BEC.
 
-    exc_max, when given, truncates the total excitation c1+c2+ph.  The
+    exc_max truncates the total excitation c1+c2+ph.  The
     bus is not purely dispersive at the build_cavity_model defaults:
     states with one c boson and one photon have bare energy
     +Delta - Delta = 0, degenerate with the (a, b) ground manifold, so
@@ -290,7 +289,7 @@ def cavity_basis(n_atoms, n_ph_max, exc_max=None):
     for s1 in site:
         for s2 in site:
             for ph in range(n_ph_max + 1):
-                if exc_max is not None and s1[2] + s2[2] + ph > exc_max:
+                if s1[2] + s2[2] + ph > exc_max:
                     continue
                 states.append(s1 + s2 + (ph,))
     return OccupationBasis(states)
@@ -426,9 +425,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     gate_times = np.asarray(gate_times, dtype=float)
 
     def errors_at(ph_max):
-        params = CavityModel(n_atoms, omega0=delta, omega=0.0,
-                             cavity_g=cavity_g, gamma_c=gamma_c,
-                             n_ph_max=ph_max)
+        params = CavityModel(n_atoms, delta, cavity_g, gamma_c, ph_max)
         model, basis = build_cavity_model(params, g_laser)
         psi = cavity_initial_state(basis, n_atoms)
         rho0 = np.outer(psi, psi.conj())

@@ -416,9 +416,6 @@ class DecayFit:
     quality: str
     points: int = 0
 
-    def __float__(self):
-        return self.rate
-
 
 def _envelope_peaks(t, y):
     """Local maxima of |y| with quadratic vertex interpolation."""
@@ -500,7 +497,10 @@ def oscillation_envelope_rate(record, name, frequency):
     y = record.series(name)
     period = 2.0 * math.pi / frequency
     # the moving average below needs 3 samples and one period of record
-    if t.size < 3 or t[-1] < period:
+    if t.size < 3:
+        raise ValueError("the record has %d samples; the envelope fit needs "
+                         "at least 3" % t.size)
+    if t[-1] < period:
         raise ValueError(
             "the record (%d samples to t=%.6g) is shorter than one Rabi "
             "period (%.6g)" % (t.size, t[-1], period))

@@ -22,6 +22,17 @@ MAX_AMPLITUDES = 10**7
 EIGENVALUE_CLIP = 1e-12  # drop eigenvalues below this before taking logs
 
 
+def _joint_dim(site_n) -> int:
+    """Joint dimension prod(N_i + 1); CapacityError above MAX_AMPLITUDES.
+
+    Callers check before they allocate the joint amplitudes.
+    """
+    dim = math.prod(n + 1 for n in site_n)
+    if dim > MAX_AMPLITUDES:
+        raise CapacityError(f"joint dimension {dim} exceeds {MAX_AMPLITUDES}")
+    return dim
+
+
 @dataclass(frozen=True)
 class BecRegister:
     """Pure joint state of M BEC qubits with per-site boson numbers."""
@@ -33,9 +44,7 @@ class BecRegister:
         site_n = tuple(int(n) for n in self.site_n)
         if len(site_n) < 1 or any(n < 1 for n in site_n):
             raise ValueError("site_n must be a nonempty tuple of positive counts")
-        dim = math.prod(n + 1 for n in site_n)
-        if dim > MAX_AMPLITUDES:
-            raise CapacityError(f"joint dimension {dim} exceeds {MAX_AMPLITUDES}")
+        dim = _joint_dim(site_n)
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if amps.size != dim:
             raise ValueError(f"amps must have length {dim}, got {amps.size}")
@@ -107,6 +116,7 @@ def tensor(states: Sequence[SpinState]) -> BecRegister:
     """Kronecker product of single-site states, in the given site order."""
     if not states:
         raise ValueError("need at least one state")
+    _joint_dim([s.n_atoms for s in states])
     amps = states[0].amps
     for s in states[1:]:
         amps = np.kron(amps, s.amps)
@@ -150,6 +160,7 @@ def entangled_state_analytic(n1: int, n2: int, omega_t: float) -> BecRegister:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("boson numbers must be >= 1")
+    _joint_dim((n1, n2))
     chi = (n2 - 2 * np.arange(n2 + 1)) * omega_t
     chi = np.angle(np.exp(1j * chi))   # wrapped, as a branch's azimuth is
     phases = np.exp(1j * np.outer(2 * np.arange(n1 + 1) - n1, chi))
@@ -185,13 +196,6 @@ def entropy(rho: DensityMatrix) -> EntropyResult:
 def entanglement_entropy(reg: BecRegister, keep_site: int = 0) -> EntropyResult:
     """Entropy of the reduced state of ``keep_site``."""
     return entropy(partial_trace(reg, keep_site))
-
-
-def schmidt_weights(reg: BecRegister, site: int = 0) -> np.ndarray:
-    """Squared singular values of the bipartition (site | rest)."""
-    tens = np.moveaxis(reg.as_tensor(), site, 0)
-    sv = np.linalg.svd(tens.reshape(reg.dims[site], -1), compute_uv=False)
-    return sv**2
 
 
 def register_fidelity(r1: BecRegister, r2: BecRegister) -> float:
@@ -231,20 +235,3 @@ def cat_decomposition_check(n_atoms: int) -> float:
     start = tensor([plus_x_state(n_atoms), plus_x_state(n_atoms)])
     evolved = apply_zz(start, 0, 1, math.pi / 4)
     return register_fidelity(cat_decomposition(n_atoms), evolved)
-
-
-def number_fluctuation_error(n_atoms: int, d_n: int) -> float:
-    """Relative azimuth error of the k2 = 0 branch under miscounted atoms.
-
-    A gate timed for N atoms but acting on N + dN leaves the extremal branch
-    rotated by (N + dN) pi/4N instead of pi/4; the mismatch is dN/N of the
-    target angle.
-    """
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    if abs(d_n) >= n_atoms:
-        raise ValueError("|d_n| must be smaller than n_atoms")
-    omega_t = math.pi / (4 * n_atoms)
-    actual = (n_atoms + d_n) * omega_t
-    target = math.pi / 4
-    return (actual - target) / target

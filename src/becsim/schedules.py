@@ -26,11 +26,6 @@ MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
 
 AXES = ("I", "x", "y", "z")
 
-#: Entangling time used by the teleportation mapping, in units of 1/Omega.
-#: Exposed as data only; the protocol itself is out of scope here.
-def teleportation_gate_time(n_atoms: int) -> float:
-    return 1.0 / math.sqrt(2 * n_atoms)
-
 
 @dataclass(frozen=True)
 class SpinProductTerm:
@@ -206,10 +201,6 @@ class DeutschOracle:
                 SpinProductTerm(-float(n) ** 2, ()),
             )
         return [GateStep(terms, t)]
-
-    @property
-    def is_constant(self) -> bool:
-        return self.oracle_id in ("const00", "const11")
 
 
 def run_deutsch(oracle: DeutschOracle) -> tuple[str, float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +76,6 @@ class CoherentParams:
         phi = float(phi) % (2 * math.pi)
         return cls(math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2), n_atoms)
 
-    @property
-    def theta(self) -> float:
-        return 2 * math.atan2(abs(self.beta), abs(self.alpha))
-
-    @property
-    def phi(self) -> float:
-        # azimuth of beta relative to alpha's phase, in [0, 2 pi)
-        if abs(self.beta) == 0:
-            return 0.0
-        if abs(self.alpha) == 0:
-            return cmath.phase(self.beta) % (2 * math.pi)
-        return (cmath.phase(self.beta) - cmath.phase(self.alpha)) % (2 * math.pi)
-
 
 @dataclass(frozen=True)
 class SpinState:
@@ -113,35 +99,6 @@ class SpinState:
         amps = amps / math.sqrt(norm)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.n_atoms + 1
-
-
-@dataclass(frozen=True)
-class EffectiveCouplingParams:
-    """Inputs of the adiabatic-elimination coupling formulas.
-
-    ``g``: laser coupling, ``cavity_g``: cavity coupling, ``detuning``: laser/cavity
-    detuning, ``hyperfine_split``: splitting of the optically excited levels.
-    All in angular-frequency units.
-    """
-
-    g: float
-    cavity_g: float = 0.0
-    detuning: float = 1.0
-    hyperfine_split: float = 0.0
-
-    def __post_init__(self):
-        if self.detuning == 0:
-            raise ValueError("detuning must be nonzero")
-        if abs(self.detuning) < 5 * abs(self.g):
-            warnings.warn(
-                "detuning is less than 5x the coupling; "
-                "perturbative coupling formulas may be inaccurate",
-                stacklevel=2,
-            )
 
 
 def make_fock(k: int, n_atoms: int) -> SpinState:
@@ -322,48 +279,3 @@ def kron_product(mats, coeff: float = 1.0) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
-
-
-def rotate(s: SpinState, n_vec, angle: float) -> SpinState:
-    """Apply exp(-i angle (n . S)) via exact eigendecomposition."""
-    n_vec = np.asarray(n_vec, dtype=float)
-    if n_vec.shape != (3,) or abs(np.linalg.norm(n_vec) - 1.0) > 1e-9:
-        raise ValueError("rotation axis must be a unit 3-vector")
-    gen = (
-        n_vec[0] * spin_operator("x", s.n_atoms)
-        + n_vec[1] * spin_operator("y", s.n_atoms)
-        + n_vec[2] * spin_operator("z", s.n_atoms)
-    )
-    evals, evecs = np.linalg.eigh(gen)
-    amps = evecs @ (np.exp(-1j * angle * evals) * (evecs.conj().T @ s.amps))
-    return SpinState(s.n_atoms, amps)
-
-
-def moments(s: SpinState) -> tuple[np.ndarray, float]:
-    """Mean spin vector (<Sx>, <Sy>, <Sz>) and the variance of Sz."""
-    mean = np.empty(3)
-    for i, axis in enumerate("xyz"):
-        op = spin_operator(axis, s.n_atoms)
-        mean[i] = np.real(np.vdot(s.amps, op @ s.amps))
-    sz = spin_operator("z", s.n_atoms)
-    sz2 = np.real(np.vdot(s.amps, sz @ (sz @ s.amps)))
-    return mean, float(sz2 - mean[2] ** 2)
-
-
-def fidelity(s1: SpinState, s2: SpinState) -> float:
-    """|<s1|s2>|^2; the phase-insensitive comparison used throughout."""
-    return abs(overlap_numeric(s1, s2)) ** 2
-
-
-def effective_couplings(p: EffectiveCouplingParams) -> tuple[float, float, float]:
-    """Adiabatic-elimination coupling scales.
-
-    Returns ``(omega1, omega1_hf, omega2)``: the two-level coupling g^2/Delta,
-    the hyperfine-limited Rabi frequency g^2 deltaE / Delta^2, and the
-    cavity-mediated two-site coefficient -G^2 g^2 / (4 Delta^3).
-    """
-    g, big_g, delta, de = p.g, p.cavity_g, p.detuning, p.hyperfine_split
-    omega1 = g**2 / delta
-    omega1_hf = g**2 * de / delta**2
-    omega2 = -(big_g**2) * g**2 / (4 * delta**3)
-    return omega1, omega1_hf, omega2

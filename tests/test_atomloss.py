@@ -8,7 +8,6 @@ import pytest
 from becsim.atomloss import (
     AtomLossParams,
     INFINITE_LIFETIME,
-    initial_decay_rate,
     integrate_loss_odes,
     lifetime_report,
 )
@@ -49,16 +48,6 @@ def test_populations_monotone_non_increasing():
     assert np.all(np.diff(na) <= 1e-12)
     assert np.all(np.diff(nb) <= 1e-12)
     assert na[0] == pytest.approx(500.0)
-
-
-def test_initial_decay_rate_components():
-    p = AtomLossParams()
-    rate_a, rate_b = initial_decay_rate(p)
-    na, nb = p.initial_densities()
-    assert rate_a == pytest.approx(p.Gamma_l + p.K_ab * nb + p.L_a * na ** 2)
-    assert rate_b == pytest.approx(p.Gamma_l + p.K_ab * na + p.K_b * nb)
-    # state b decays faster at the defaults (two-body channels dominate)
-    assert rate_b > rate_a
 
 
 def test_params_validation():

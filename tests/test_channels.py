@@ -69,7 +69,7 @@ def test_dephasing_sx_decay_rate(n):
     sx = spin_operator("x", n) / n
     rec = integrate_master(model, plus_x_rho(1, n), 20.0, 201,
                            observables={"sx": sx})
-    rate = float(fit_decay_rate(rec, "sx"))
+    rate = fit_decay_rate(rec, "sx").rate
     assert rate == pytest.approx(2 * gamma, rel=1e-4)
 
 
@@ -79,7 +79,7 @@ def test_dephasing_two_site_correlator_rate():
     sxsx = site_operator(2, n, {0: "x", 1: "x"}) / n ** 2
     rec = integrate_master(model, plus_x_rho(2, n), 12.0, 161,
                            observables={"sxsx": sxsx})
-    rate = float(fit_decay_rate(rec, "sxsx"))
+    rate = fit_decay_rate(rec, "sxsx").rate
     assert rate == pytest.approx(4 * gamma, rel=1e-4)   # K = 2 factors
 
 
@@ -108,7 +108,7 @@ def test_loss_sz_decay_rate():
     vec[basis.index[(n, 0)]] = 1.0
     rec = integrate_master(model, np.outer(vec, vec.conj()), 10.0, 121,
                            observables={"sz": sz / n})
-    assert float(fit_decay_rate(rec, "sz")) == pytest.approx(gl, rel=1e-4)
+    assert fit_decay_rate(rec, "sz").rate == pytest.approx(gl, rel=1e-4)
     assert psi.shape == (basis.size,)
 
 
@@ -268,14 +268,16 @@ def test_fig4a_revival_degrades_with_n():
 
 def test_cavity_model_validation():
     with pytest.raises(ValueError):
-        CavityModel(2, omega0=1.0, omega=0.0, cavity_g=1.0, gamma_c=-0.1)
+        CavityModel(2, detuning=1.0, cavity_g=1.0, gamma_c=-0.1)
+    with pytest.raises(ValueError):
+        CavityModel(2, detuning=0.0, cavity_g=1.0, gamma_c=0.1)
 
 
 def test_cavity_sectors_conserved():
     # neither the drive, the cavity coupling nor photon decay touches
     # mode a: the derived blocks are the (n_a1, n_a2) classes, in order
     for n_atoms, n_ph_max in ((1, 1), (2, 2), (3, 2)):
-        params = CavityModel(n_atoms, omega0=10.0, omega=0.0, cavity_g=1.0,
+        params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
                              gamma_c=0.5, n_ph_max=n_ph_max)
         model, basis = build_cavity_model(params, 1.0)
         labels = [(s[0], s[3]) for s in basis.states]
@@ -286,7 +288,7 @@ def test_cavity_sectors_conserved():
 
 
 def test_cavity_sector_evolution_matches_dense():
-    params = CavityModel(1, omega0=8.0, omega=0.0, cavity_g=1.0,
+    params = CavityModel(1, detuning=8.0, cavity_g=1.0,
                          gamma_c=0.4, n_ph_max=1)
     model, basis = build_cavity_model(params, 1.0)
     prop = SectorPropagator(model)
@@ -301,7 +303,7 @@ def test_cavity_sector_evolution_matches_dense():
 def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     # N = 2 drops the states with two excitations (exc_max=1): the default
     # truncation gives a 2704-dim dense Liouvillian, too slow for expm
-    params = CavityModel(n_atoms, omega0=10.0, omega=0.0, cavity_g=1.0,
+    params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
                          gamma_c=1.0, n_ph_max=1)
     model, basis = build_cavity_model(params, 1.0, exc_max=exc_max)
     psi = cavity_initial_state(basis, n_atoms)
@@ -323,7 +325,7 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
 
 
 def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
-    params = CavityModel(1, omega0=10.0, omega=0.0, cavity_g=1.0,
+    params = CavityModel(1, detuning=10.0, cavity_g=1.0,
                          gamma_c=1.0, n_ph_max=1)
     model, basis = build_cavity_model(params, 1.0)
     pairs = set(SectorPropagator(model).observable_blocks(

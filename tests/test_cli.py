@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import becsim
-from becsim.channels import AXIS_CONVENTIONS
+from becsim import channels
+from becsim.channels import AXIS_CONVENTIONS, build_lambda_model
 from becsim.cli import (COMMANDS, KEYS, _build_parser, main,
                         parse_config_file, resolve_params, write_csv)
+from becsim.errors import CapacityError
 
 OPERATIONS = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
               / "operations.py")
@@ -96,6 +98,35 @@ def test_bad_input_exits_1(argv, tmp_path, capsys, monkeypatch):
     assert "error:" in text.err
     assert "PASS" not in text.out and "FAIL" not in text.out
     assert not list(tmp_path.iterdir())
+    if argv == ["fig4c", "--t-end", "100", "--samples", "2"]:
+        # t = 100 spans three Rabi periods; the sample count is what fails
+        assert "the record has 2 samples; the envelope fit needs at " \
+            "least 3" in text.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2a", "--N", "1000000"],
+    ["deutsch", "--N", "1000000"],
+    ["fig4a", "--N", "1000"],
+], ids="_".join)
+def test_oversized_input_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # refused from N alone, before the terabyte-sized arrays are requested
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lambda_model_refuses_before_enumerating(tmp_path, capsys,
+                                                 monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("MultiModeBasis built for an oversized N")
+    monkeypatch.setattr(channels, "MultiModeBasis", enumerate_nothing)
+    with pytest.raises(CapacityError):
+        build_lambda_model(10**6, 1.0, 10.0, 0.1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig4c", "--N", "100000"]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
 
 
 IMPORT_PROBE = """

@@ -346,7 +346,7 @@ def test_fit_decay_rate_pure_exponential():
     rec = EvolutionRecord(times=t, observables={"y": np.exp(-0.37 * t)},
                           trace_dev=0.0, herm_defect=0.0)
     fit = fit_decay_rate(rec, "y")
-    assert float(fit) == pytest.approx(0.37, rel=1e-6)
+    assert fit.rate == pytest.approx(0.37, rel=1e-6)
 
 
 def test_fit_decay_rate_damped_cosine_envelope():
@@ -355,7 +355,7 @@ def test_fit_decay_rate_damped_cosine_envelope():
         times=t, observables={"y": np.exp(-0.21 * t) * np.cos(3.0 * t)},
         trace_dev=0.0, herm_defect=0.0)
     fit = fit_decay_rate(rec, "y")
-    assert float(fit) == pytest.approx(0.21, rel=1e-3)
+    assert fit.rate == pytest.approx(0.21, rel=1e-3)
 
 
 def test_fit_decay_rate_flat_signal():
@@ -363,7 +363,7 @@ def test_fit_decay_rate_flat_signal():
     rec = EvolutionRecord(times=t, observables={"y": np.ones_like(t)},
                           trace_dev=0.0, herm_defect=0.0)
     fit = fit_decay_rate(rec, "y")
-    assert float(fit) == 0.0
+    assert fit.rate == 0.0
 
 
 def test_envelope_rate_detrends_and_fits_the_tail():

@@ -92,7 +92,7 @@ def test_tracer_sees_one_block_eig_per_folded_pair():
     # the conjugate; the per-layer counters must still see every eig
     tracing = _load("tracing")
     from becsim import channels, lindblad
-    params = channels.CavityModel(1, omega0=10.0, omega=0.0, cavity_g=1.0,
+    params = channels.CavityModel(1, detuning=10.0, cavity_g=1.0,
                                   gamma_c=1.0, n_ph_max=1)
     model, basis = channels.build_cavity_model(params, 1.0)
     pairs = set(lindblad.SectorPropagator(model).observable_blocks(

@@ -19,7 +19,6 @@ from becsim.schedules import (
     run_deutsch,
     run_schedule,
     step_hamiltonian,
-    teleportation_gate_time,
 )
 
 
@@ -177,7 +176,7 @@ def test_parse_schedule_ignores_comments_and_blanks():
 def test_deutsch_classification(oracle_id, n):
     oracle = DeutschOracle(oracle_id, n)
     classification, readout = run_deutsch(oracle)
-    expected = "constant" if oracle.is_constant else "balanced"
+    expected = "constant" if oracle_id.startswith("const") else "balanced"
     assert classification == expected
     assert abs(readout) >= 1.0 - 1e-9
 
@@ -190,8 +189,3 @@ def test_deutsch_single_query():
 def test_deutsch_rejects_unknown_oracle():
     with pytest.raises(ValueError):
         DeutschOracle("bal11", 3)
-
-
-def test_teleportation_gate_time_scaling():
-    assert teleportation_gate_time(8) == pytest.approx(1 / 4.0)
-    assert teleportation_gate_time(2) == pytest.approx(0.5)

@@ -6,23 +6,27 @@ import math
 import numpy as np
 import pytest
 
+from becsim.registers import register_fidelity, tensor
+from becsim.schedules import parse_schedule, run_schedule
 from becsim.spin import (
     CoherentParams,
-    EffectiveCouplingParams,
-    effective_couplings,
-    fidelity,
     log_binomial,
     make_coherent,
     make_fock,
-    moments,
     overlap_analytic,
     overlap_numeric,
-    rotate,
     spin_operator,
     sqrt_binomial,
 )
 
 EPS = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
+
+
+def mean_spin(amps, n):
+    """(<Sx>, <Sy>, <Sz>) and Var(Sz) of one site's amplitudes."""
+    mean = [np.vdot(amps, spin_operator(a, n) @ amps).real for a in "xyz"]
+    sz = spin_operator("z", n)
+    return np.array(mean), np.vdot(amps, sz @ sz @ amps).real - mean[2] ** 2
 
 
 def test_sqrt_binomial_matches_exact_small_n():
@@ -126,9 +130,11 @@ def test_coherent_params_validation():
 
 
 def test_from_angles_canonicalizes_theta():
+    # theta = 2 pi - 0.4 reflects through the pole: theta 0.4, phi + pi
     p = CoherentParams.from_angles(2 * math.pi - 0.4, 1.0, 3)
-    assert p.theta == pytest.approx(0.4)
-    assert 0.0 <= p.phi < 2 * math.pi
+    assert p.alpha == pytest.approx(math.cos(0.2))
+    assert p.beta == pytest.approx(cmath.exp(1j * (1.0 + math.pi))
+                                   * math.sin(0.2))
 
 
 def test_overlap_analytic_matches_numeric_random():
@@ -165,44 +171,29 @@ def test_overlap_frozen_oracle_value():
 
 def test_rotation_moves_pole_to_equator():
     n = 8
-    s = make_fock(n, n)                      # +z pole
+    reg = tensor([make_fock(n, n)])          # +z pole
     # operators step eigenvalues by 2, so a Bloch pi/2 turn is angle pi/4
-    r = rotate(s, np.array([0.0, 1.0, 0.0]), math.pi / 4)
-    mean, var_z = moments(r)
+    steps = parse_schedule("term 1.0 1:y ; %r\n" % (math.pi / 4))
+    mean, var_z = mean_spin(run_schedule(reg, steps).amps, n)
     assert mean[0] == pytest.approx(n, abs=1e-10)
     assert mean[2] == pytest.approx(0.0, abs=1e-10)
     assert var_z == pytest.approx(n, abs=1e-9)   # binomial variance 4*N/4
 
 
 def test_rotation_preserves_norm_and_composes():
-    n = 5
-    s = make_coherent(CoherentParams.from_angles(0.4, 1.0, n))
-    axis = np.array([0.0, 0.0, 1.0])
-    one = rotate(rotate(s, axis, 0.3), axis, 0.5)
-    two = rotate(s, axis, 0.8)
-    assert fidelity(one, two) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotate_rejects_non_unit_axis():
-    s = make_fock(0, 2)
-    with pytest.raises(ValueError):
-        rotate(s, np.array([0.0, 0.0, 2.0]), 0.1)
+    reg = tensor([make_coherent(CoherentParams.from_angles(0.4, 1.0, 5))])
+    one = run_schedule(reg, parse_schedule("term 1.0 1:x ; 0.3\n"
+                                           "term 1.0 1:x ; 0.5\n"))
+    two = run_schedule(reg, parse_schedule("term 1.0 1:x ; 0.8\n"))
+    assert register_fidelity(one, two) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_mean_spin_vector():
     n = 12
     theta, phi = 1.05, 0.7
     s = make_coherent(CoherentParams.from_angles(theta, phi, n))
-    mean, _ = moments(s)
+    mean, _ = mean_spin(s.amps, n)
     assert mean[2] == pytest.approx(n * math.cos(theta), abs=1e-9)
     assert mean[0] == pytest.approx(n * math.sin(theta) * math.cos(phi), abs=1e-9)
     assert mean[1] == pytest.approx(n * math.sin(theta) * math.sin(phi), abs=1e-9)
 
-
-def test_effective_couplings_formulas():
-    p = EffectiveCouplingParams(g=2.0, cavity_g=3.0, detuning=10.0,
-                                hyperfine_split=0.5)
-    w1, w1hf, w2 = effective_couplings(p)
-    assert w1 == pytest.approx(0.4)
-    assert w1hf == pytest.approx(4 * 0.5 / 100.0)
-    assert w2 == pytest.approx(-9 * 4 / 4000.0)
