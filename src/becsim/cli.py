@@ -126,8 +126,7 @@ def cmd_fig2a(params, out):
     grid = np.linspace(0.0, params["t_end"], samples)
     rows = []
     for wt in grid:
-        reg = registers.entangled_state_analytic(n, n, wt)
-        ent = registers.entanglement_entropy(reg)
+        ent = registers.entropy(registers.entangler_reduced_state(n, n, wt))
         rows.append((wt, ent.bits, ent.max_bits))
     write_csv(out, ["omega_t", "entropy_bits", "max_bits"], rows)
     peak = max(r[1] for r in rows)
@@ -141,8 +140,8 @@ def cmd_fig2b(params, out):
     rows = []
     for n in range(1, params["N_max"] + 1):
         wt = math.pi / (4.0 * n)
-        reg = registers.entangled_state_analytic(n, n, wt)
-        rows.append((n, registers.entanglement_entropy(reg).bits))
+        rho = registers.entangler_reduced_state(n, n, wt)
+        rows.append((n, registers.entropy(rho).bits))
     write_csv(out, ["N", "entropy_bits"], rows)
     base = rows[0][1]
     dev = max(abs(e - base) for _, e in rows)

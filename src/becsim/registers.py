@@ -49,7 +49,7 @@ class BecRegister:
         if amps.size != dim:
             raise ValueError(f"amps must have length {dim}, got {amps.size}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
             raise ValueError(f"register not normalized: {norm}")
         amps = amps / math.sqrt(norm)
         amps.setflags(write=False)
@@ -70,19 +70,24 @@ class BecRegister:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state over an enumerated basis, validated on construction."""
+    """Mixed state over an enumerated basis, validated on construction.
+
+    Real entries stay real (float64), so their eigvalsh is the cheaper
+    real-symmetric one; any other input is stored as complex.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        real = np.isrealobj(self.entries)
+        entries = np.asarray(self.entries, dtype=float if real else complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         tr = complex(np.trace(entries))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:   # NaN fails too
             raise NumericalIntegrityError(f"trace deviates from 1 by {abs(tr - 1.0)}")
         herm = np.max(np.abs(entries - entries.conj().T))
-        if herm > 1e-10:
+        if not herm <= 1e-10:
             raise NumericalIntegrityError(f"Hermiticity defect {herm}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -166,6 +171,25 @@ def entangled_state_analytic(n1: int, n2: int, omega_t: float) -> BecRegister:
     phases = np.exp(1j * np.outer(2 * np.arange(n1 + 1) - n1, chi))
     amps = np.outer(_half_weights(n1), _half_weights(n2)) * phases
     return BecRegister((n1, n2), amps.reshape(-1))
+
+
+def entangler_reduced_state(n1: int, n2: int, omega_t: float) -> DensityMatrix:
+    """Site-1 reduced state of entangled_state_analytic(n1, n2, omega_t).
+
+    Tracing site 2 sums its |+x> weights against exp(2i (k - k') chi), the
+    binomial characteristic function, so rho[k, k'] = w1[k] w1[k']
+    cos((k - k') theta)^N2 with theta = 2 omega_t: real symmetric, and
+    built without the joint register.  omega_t is reduced mod pi first
+    (exact, and a no-op for |omega_t| <= pi/2) so theta stays finite.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("boson numbers must be >= 1")
+    _joint_dim((n1, n2))   # the register's cap, so the same N are refused
+    k = np.arange(n1 + 1)
+    lags = np.cos(k * (2.0 * math.remainder(omega_t, math.pi))) ** n2
+    w = _half_weights(n1)
+    rho = np.outer(w, w) * lags[np.abs(k[:, None] - k[None, :])]
+    return DensityMatrix(rho / np.trace(rho))
 
 
 def partial_trace(reg: BecRegister, keep_site: int) -> DensityMatrix:

@@ -260,6 +260,8 @@ def parse_schedule(text: str) -> list[GateStep]:
                 raise ValueError(f"line {lineno}: sites are 1-based")
             factors.append((site - 1, axis))
         time = float(fields[sep + 1])
+        if not (math.isfinite(coeff) and math.isfinite(time)):
+            raise ValueError(f"line {lineno}: coefficient and time must be finite")
         term = SpinProductTerm(coeff, tuple(factors))
         if steps and abs(steps[-1].time - time) == 0.0:
             steps[-1] = GateStep(steps[-1].terms + (term,), time)

@@ -51,7 +51,7 @@ class CoherentParams:
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
             raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {norm}")
         if abs(norm - 1.0) > _NORM_TOL:
             # renormalize silently within the loose tolerance
@@ -94,7 +94,7 @@ class SpinState:
                 f"amps must have length N+1 = {self.n_atoms + 1}, got {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
             raise ValueError(f"state not normalized: sum |amps|^2 = {norm}")
         amps = amps / math.sqrt(norm)
         amps.setflags(write=False)

@@ -291,6 +291,27 @@ def test_schedule_from_file(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "term 1 1:z 2:z ; nan",
+    "term inf 1:x ; 1.0",
+    "term 1 1:x ; inf",
+    "term 1 1:z 2:z ; 1e308",   # finite, but the phases overflow
+])
+def test_schedule_non_finite_exits_1(line, tmp_path, capsys):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(line + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("schedule = %s\n" % sched)
+    out = tmp_path / "sched.csv"
+    with np.errstate(all="ignore"):
+        assert main(["schedule", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "1e308" not in line:
+        assert "line 1: coefficient and time must be finite" in err
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("N = 5  # comment\n\nsamples = 101\n")

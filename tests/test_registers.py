@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from becsim import registers
+from becsim.cli import main
 from becsim.errors import CapacityError, NumericalIntegrityError
 from becsim.registers import (
     BecRegister,
@@ -15,6 +16,7 @@ from becsim.registers import (
     cat_decomposition,
     cat_decomposition_check,
     entangled_state_analytic,
+    entangler_reduced_state,
     entanglement_entropy,
     entropy,
     partial_trace,
@@ -181,6 +183,92 @@ def test_density_matrix_validation():
         DensityMatrix(bad)
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2, 3) / 2)
+
+
+def test_density_matrix_keeps_real_input_real():
+    # real input skips the complex cast; the checks still apply to it
+    rho = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
+    assert rho.entries.dtype == np.float64
+    assert DensityMatrix(np.eye(2, dtype=int) / 2).entries.dtype == np.float64
+    assert DensityMatrix(np.eye(2) / 2 + 0j).entries.dtype == np.complex128
+    with pytest.raises(NumericalIntegrityError):   # asymmetric
+        DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))
+    with pytest.raises(NumericalIntegrityError):   # NaN trace
+        DensityMatrix(np.diag([np.nan, 0.5]))
+    with pytest.raises(NumericalIntegrityError):   # NaN off the diagonal
+        DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    with pytest.raises(NumericalIntegrityError):   # eigenvalue -0.5
+        entropy(DensityMatrix(np.diag([1.5, -0.5])))
+
+
+def test_reduced_state_matches_partial_trace_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n1, n2 = rng.choice(np.arange(1, 41), size=2, replace=False)
+        wt = rng.uniform(-50.0, 50.0)
+        oracle = partial_trace(entangled_state_analytic(n1, n2, wt), 0)
+        rho = entangler_reduced_state(n1, n2, wt)
+        assert rho.entries.dtype == np.float64
+        assert np.max(np.abs(rho.entries - oracle.entries)) <= 1e-13
+        assert entropy(rho).bits == pytest.approx(entropy(oracle).bits,
+                                                  abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 1024])
+def test_reduced_state_at_zero_phase_is_pure(n):
+    # the product state: renormalizing the trace keeps E below 1e-14
+    rho = entangler_reduced_state(n, n, 0.0)
+    assert abs(np.trace(rho.entries) - 1.0) <= 1e-15
+    assert entropy(rho).bits <= 1e-14
+
+
+def test_reduced_state_capacity_guard():
+    with pytest.raises(CapacityError):
+        entangler_reduced_state(4000, 4000, 0.1)
+
+
+def read_rows(path):
+    return [[float(v) for v in line.split(",")]
+            for line in path.read_text().splitlines()[1:]]
+
+
+def test_fig2_csvs_match_register_path(tmp_path):
+    out = tmp_path / "f2a.csv"
+    assert main(["fig2a", "--N", "30", "--samples", "41", "--t-end", "3",
+                 "--out", str(out)]) == 0
+    for wt, bits, max_bits in read_rows(out):
+        reg = entangled_state_analytic(30, 30, wt)
+        assert bits == pytest.approx(entanglement_entropy(reg).bits, abs=1e-12)
+        assert max_bits == math.log2(31)
+    out = tmp_path / "f2b.csv"
+    assert main(["fig2b", "--N-max", "30", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [n for n, _ in rows] == list(range(1, 31))
+    for n, bits in rows:
+        reg = entangled_state_analytic(int(n), int(n), math.pi / (4.0 * n))
+        assert bits == pytest.approx(entanglement_entropy(reg).bits, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_end", ["1e300", "1e308"])
+def test_fig2a_huge_phase_stays_a_state(t_end, tmp_path):
+    # the phase is reduced mod pi before it is doubled, so it stays finite
+    out = tmp_path / "f2a.csv"
+    assert main(["fig2a", "--t-end", t_end, "--samples", "3",
+                 "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 3
+    assert all(0.0 <= bits <= math.log2(11) for _, bits, _ in rows)
+
+
+def test_fig2a_builds_no_joint_register(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("joint register built")
+    monkeypatch.setattr(registers, "entangled_state_analytic", refuse)
+    monkeypatch.setattr(registers, "BecRegister", refuse)
+    assert main(["fig2a", "--N", "50", "--samples", "5",
+                 "--out", str(tmp_path / "f2a.csv")]) == 0
+    assert main(["fig2b", "--N-max", "5",
+                 "--out", str(tmp_path / "f2b.csv")]) == 0
 
 
 def test_register_fidelity_phase_invariant():
