@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
-from .lindblad import (LindbladModel, SectorPropagator, integrate_master,
-                       linregress, reversal_echo, MAX_DENSITY_DIM)
+from .lindblad import (LindbladModel, integrate_master, log_slope,
+                       reversal_echo, sector_echo, MAX_DENSITY_DIM)
 # the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
 from .lindblad import oscillation_envelope_rate  # noqa: F401
-from .spin import (MultiModeBasis, OccupationBasis, kron_product,
-                   spin_operator, sqrt_binomial)
+from .spin import (MultiModeBasis, OccupationBasis, enumerate_occupations,
+                   half_weights, kron_product, make_fock, spin_operator)
 
 AXIS_CONVENTIONS = ("caption", "paper-body")
 
@@ -74,8 +74,8 @@ def loss_basis(n_max):
     sector the states are ordered by n_a ascending, matching the fixed-N
     Fock convention.
     """
-    states = [(na, n - na) for n in range(n_max + 1) for na in range(n + 1)]
-    return OccupationBasis(states)
+    return OccupationBasis([s for n in range(n_max + 1)
+                            for s in enumerate_occupations(2, n)])
 
 
 def loss_site_operator(basis, m_sites, site, op):
@@ -190,13 +190,8 @@ def _gate_configuration(n_atoms, gamma, omega2, axis):
     gate_axis, deph_axis = (("x", "z") if axis == "caption" else ("z", "x"))
     h = omega2 * site_operator(2, n_atoms, {0: gate_axis, 1: gate_axis})
     model = build_dephasing_model(2, n_atoms, deph_axis, gamma, hamiltonian=h)
-    dim = n_atoms + 1
-    if axis == "caption":
-        site = np.zeros(dim, dtype=complex)
-        site[n_atoms] = 1.0        # S^z = N: every boson in mode a
-    else:
-        site = sqrt_binomial(n_atoms, np.arange(dim)) / math.sqrt(2.0 ** n_atoms)
-        site = site.astype(complex)
+    site = (make_fock(n_atoms, n_atoms).amps if axis == "caption"
+            else half_weights(n_atoms).astype(complex))
     psi = np.kron(site, site)
     # the sites start polarized along the dephasing axis; read that out
     readout = site_operator(2, n_atoms, {0: deph_axis}) / n_atoms
@@ -283,16 +278,10 @@ def cavity_basis(n_atoms, n_ph_max, exc_max):
     their amplitudes are not perturbatively small and exc_max changes
     the dynamics qualitatively (exc_max=1 removes them).
     """
-    states = []
-    site = [(na, nb, n_atoms - na - nb) for na in range(n_atoms + 1)
-            for nb in range(n_atoms + 1 - na)]
-    for s1 in site:
-        for s2 in site:
-            for ph in range(n_ph_max + 1):
-                if s1[2] + s2[2] + ph > exc_max:
-                    continue
-                states.append(s1 + s2 + (ph,))
-    return OccupationBasis(states)
+    site = enumerate_occupations(3, n_atoms)
+    return OccupationBasis([s1 + s2 + (ph,) for s1 in site for s2 in site
+                            for ph in range(n_ph_max + 1)
+                            if s1[2] + s2[2] + ph <= exc_max])
 
 
 def build_cavity_model(params, g_laser, exc_max="auto"):
@@ -346,8 +335,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
 
 def cavity_initial_state(basis, n_atoms):
     """Both BECs polarized along +x in (a, b), no c bosons, no photon."""
-    amp = sqrt_binomial(n_atoms, np.arange(n_atoms + 1)) \
-        / math.sqrt(2.0 ** n_atoms)
+    amp = half_weights(n_atoms)
     vec = np.zeros(basis.size, dtype=complex)
     for k1 in range(n_atoms + 1):
         for k2 in range(n_atoms + 1):
@@ -376,47 +364,18 @@ class BusGateResult:
     meta: dict = field(default_factory=dict)
 
 
-def _sector_echo_series(prop, rho0, readout, times):
-    """Tr(readout rho) after forward-then-reversed sector evolution.
-
-    For real H and jumps (else ValueError) the reversed model's (-H, same
-    jumps) block generator is the conjugate of the forward one, so each
-    block's (w, V, V^-1), computed once and held only while that block
-    runs, evolves x backwards as conj(V exp(w t) V^-1 conj(x)).  Only
-    blocks the readout pairs with are evolved; Hermitian symmetry folds
-    the (j, i) block into 2 Re of the (i, j) contribution.
-    """
-    if any(np.any(m.imag) for m in prop.operators):
-        raise ValueError("the reversed echo needs a real H and real jumps")
-    times = np.asarray(times, dtype=float)
-    pairs = set(prop.observable_blocks(readout))
-    vals = np.zeros(times.size)
-    for i, j in sorted(pairs):
-        if i > j and (j, i) in pairs:
-            continue
-        weight = 2.0 if (i != j and (j, i) in pairs) else 1.0
-        bi, bj = prop.blocks[i], prop.blocks[j]
-        x0 = rho0[np.ix_(bi, bj)].reshape(-1)
-        o_blk = readout[np.ix_(bj, bi)]
-        w, v, vinv = prop.block_eig(i, j)
-        for k, t in enumerate(times):
-            xt = v @ (np.exp(w * t) * (vinv @ x0))
-            yt = np.conj(v @ (np.exp(w * t) * (vinv @ np.conj(xt))))
-            vals[k] += weight * float(np.real(np.trace(
-                o_blk @ yt.reshape(bi.size, bj.size))))
-    return vals
-
-
 def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
               n_ph_max=2, gate_times=None, convergence_check=True):
     """Bus gate error versus gate time under cavity photon decay.
 
     Protocol mirrors the dephasing gate test: evolve forward for t,
     reverse the Hamiltonian for another t (photon decay stays on), and
-    read the error 1 - <S^x1>/N.  The fitted decoherence rate comes
-    from the log-slope of the surviving polarization: under an
-    effective S^z-jump dephasing at rate Gamma acting for the doubled
-    duration 2t, the signal is exp(-4 Gamma t).
+    read the error 1 - <S^x1>/N.  The echo runs on the sector block
+    generators (lindblad.sector_echo), and gate times must be finite and
+    >= 0.  The fitted decoherence rate comes from the log-slope of the
+    surviving polarization (lindblad.log_slope; NaN below 3 points):
+    under an effective S^z-jump dephasing at rate Gamma acting for the
+    doubled duration 2t, the signal is exp(-4 Gamma t).
     """
     omega2_eff = g_laser ** 2 * cavity_g ** 2 / (4.0 * delta ** 3)
     gate_time = math.pi / (4.0 * n_atoms * omega2_eff)
@@ -428,10 +387,8 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
         params = CavityModel(n_atoms, delta, cavity_g, gamma_c, ph_max)
         model, basis = build_cavity_model(params, g_laser)
         psi = cavity_initial_state(basis, n_atoms)
-        rho0 = np.outer(psi, psi.conj())
         sx1 = cavity_sx1(basis, n_atoms) / n_atoms
-        return 1.0 - _sector_echo_series(SectorPropagator(model), rho0, sx1,
-                                         gate_times)
+        return 1.0 - sector_echo(model, psi, sx1, gate_times)
 
     errs = errors_at(n_ph_max)
     if convergence_check:
@@ -441,13 +398,8 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
                 "photon cutoff %d not converged: observables move by %.3e"
                 % (n_ph_max, float(np.max(np.abs(errs_hi - errs)))))
 
-    signal = 1.0 - errs
-    mask = signal > 1e-8
-    if mask.sum() >= 3:
-        slope = linregress(gate_times[mask], np.log(signal[mask]))
-        fitted = max(0.0, -slope / 4.0)
-    else:
-        fitted = float("nan")
+    slope, _ = log_slope(gate_times, 1.0 - errs)
+    fitted = math.nan if slope is None else max(0.0, -slope / 4.0)
     return BusGateResult(n_atoms, gate_times, errs, omega2_eff, gate_time,
                          fitted,
                          meta={"cavity_g": cavity_g, "delta": delta,

@@ -157,11 +157,12 @@ def cmd_fig4a(params, out):
                              samples=params["samples"],
                              axis=params["axis"])
     write_csv(out, *rec.table())
-    name = rec.meta["signal"]
-    t = rec.times
-    i = int(np.argmin(np.abs(t - math.pi / (2 * abs(params["omega"])))))
-    print("fig4a: N=%d axis=%s, |signal| at omega t = pi/2: %.5f"
-          % (params["N"], params["axis"], abs(rec.series(name)[i])))
+    t, quarter = rec.times, math.pi / (2 * abs(params["omega"]))
+    signal = rec.series(rec.meta["signal"])[np.argmin(np.abs(t - quarter))]
+    reading = ("|signal| at omega t = pi/2: %.5f" % abs(signal)
+               if quarter <= t[-1] else
+               "the record ends before omega t = pi/2")
+    print("fig4a: N=%d axis=%s, %s" % (params["N"], params["axis"], reading))
     _check("record healthy (trace within 1e-7)", not rec.failed)
     return 0
 
@@ -327,9 +328,9 @@ def cmd_selftest(params, out):
     # entangler closed form and cat structure
     reg = registers.apply_zz(
         registers.tensor([registers.plus_x_state(6)] * 2), 0, 1, 0.3)
-    ana = registers.entangled_state_analytic(6, 6, 0.3)
-    ok &= _check("entangler closed form",
-                 registers.register_fidelity(reg, ana) >= 1 - 1e-10)
+    ana = registers.entangler_reduced_state(6, 6, 0.3).entries
+    ok &= _check("entangler closed form", np.abs(
+        ana - registers.partial_trace(reg, 0).entries).max() < 1e-10)
     ok &= _check("cat decomposition", registers.cat_decomposition_check(6)
                  >= 1 - 1e-9)
 

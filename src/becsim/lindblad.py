@@ -7,8 +7,8 @@ the integrator propagates the density matrix
 
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
 uses the one sparse Liouvillian `_liouvillian` builds: the grid
-evaluator and the reversal echo restrict it to the invariant blocks rho
-occupies, and SectorPropagator diagonalizes its (sector, sector) slices.
+evaluator and reversal_echo restrict it to the invariant blocks rho
+occupies, and sector_echo diagonalizes its (sector, sector) slices.
 Adaptive DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
@@ -163,15 +163,18 @@ def _liouvillian(model):
     return lv.tocsr()
 
 
-def _occupied(lv, x):
-    """Sorted indices of the Liouvillian components that vec(rho) x touches.
+def _occupied(model, x):
+    """(generator, indices): the Liouvillian on the entries x touches.
 
     Each connected component of the sparsity pattern is an invariant
     subspace of vec(rho) (Buca & Prosen, NJP 14, 073007, 2012), so an
-    evolution of x needs only these entries; every other one stays 0.
+    evolution of x needs only the sorted indices of the components x
+    touches; every other entry stays 0.
     """
+    lv = _liouvillian(model)
     _, labels = connected_components(lv.astype(bool), directed=False)
-    return np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
+    idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
+    return lv[idx][:, idx], idx
 
 
 def _exact_series(model, rho, t_end, samples):
@@ -181,12 +184,11 @@ def _exact_series(model, rho, t_end, samples):
     the Liouvillian components rho occupies (_occupied).
     """
     d = model.dim
-    lv = _liouvillian(model)
     x = rho.reshape(-1)
-    idx = _occupied(lv, x)
+    gen, idx = _occupied(model, x)
     kept = np.zeros((samples, idx.size), dtype=complex)
     if idx.size:
-        kept = expm_multiply(lv[idx][:, idx], x[idx], start=0.0, stop=t_end,
+        kept = expm_multiply(gen, x[idx], start=0.0, stop=t_end,
                              num=samples, endpoint=True)
     for row in kept:
         flat = np.zeros(d * d, dtype=complex)
@@ -290,6 +292,14 @@ def propagate(model, rho, t):
     return list(_exact_series(model, rho, t, 2))[-1]
 
 
+def _gate_times(times):
+    """times as a float array; ValueError unless every one is finite, >= 0."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0) & (times < math.inf)):   # NaN fails too
+        raise ValueError("gate times must be finite and >= 0")
+    return times
+
+
 def reversal_echo(model, rho0, readout, times):
     """Tr(readout rho) after running the model for t, then for t with -H.
 
@@ -305,19 +315,17 @@ def reversal_echo(model, rho0, readout, times):
     stepped between the sorted times with expm_multiply (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33, 488, 2011), and the trace of the
     forward rho is checked at every time, as _sample_rho does.  Returns
-    the real signal at each time, in the order given.
+    the real signal at each time, in the order given.  Fast on short
+    times (the dephasing gate); past many fast periods (the cavity bus)
+    expm_multiply takes very many steps, and sector_echo is faster.
     """
     if any(not np.array_equal(op, op.conj().T)
            for op, _ in model.active_jumps()):
         raise ValueError("the Heisenberg-picture echo needs Hermitian jumps")
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("gate times must be >= 0")
+    times = _gate_times(times)
     d = model.dim
     rho = _as_matrix(rho0, d)
-    lv = _liouvillian(model)
-    idx = _occupied(lv, rho.reshape(-1))
-    gen = lv[idx][:, idx]
+    gen, idx = _occupied(model, rho.reshape(-1))
     o = np.asarray(readout, dtype=complex).reshape(-1)
     y = np.stack([rho.reshape(-1)[idx], o[idx]], axis=1)
     # flat index i*d + j is a multiple of d + 1 exactly when i == j
@@ -333,6 +341,41 @@ def reversal_echo(model, rho0, readout, times):
                 last_good_time=last)
         vals[k] = np.real(np.vdot(y[:, 1], y[:, 0]))
         last = float(times[k])
+    return vals
+
+
+def sector_echo(model, rho0, readout, times):
+    """reversal_echo's signal, from the SectorPropagator block generators.
+
+    For real H and jumps (else ValueError) the reversed model's (-H, same
+    jumps) block generator is the conjugate of the forward one, so each
+    block's (w, V, V^-1), computed once and held only while that block
+    runs, evolves x backwards as conj(V exp(w t) V^-1 conj(x)).  Only
+    blocks the readout pairs with are evolved; Hermitian symmetry folds
+    the (j, i) block into 2 Re of the (i, j) contribution.  One eig per
+    block serves any time (the cavity bus); on a few large sectors at
+    short times (the dephasing gate) it costs more than reversal_echo.
+    """
+    times = _gate_times(times)
+    prop = SectorPropagator(model)
+    if any(np.any(m.imag) for m in prop.operators):
+        raise ValueError("the reversed echo needs a real H and real jumps")
+    rho0 = _as_matrix(rho0, model.dim)
+    pairs = set(prop.observable_blocks(readout))
+    vals = np.zeros(times.size)
+    for i, j in sorted(pairs):
+        if i > j and (j, i) in pairs:
+            continue
+        weight = 2.0 if (i != j and (j, i) in pairs) else 1.0
+        bi, bj = prop.blocks[i], prop.blocks[j]
+        x0 = rho0[np.ix_(bi, bj)].reshape(-1)
+        o_blk = readout[np.ix_(bj, bi)]
+        w, v, vinv = prop.block_eig(i, j)
+        for k, t in enumerate(times):
+            xt = v @ (np.exp(w * t) * (vinv @ x0))
+            yt = np.conj(v @ (np.exp(w * t) * (vinv @ np.conj(xt))))
+            vals[k] += weight * float(np.real(np.trace(
+                o_blk @ yt.reshape(bi.size, bj.size))))
     return vals
 
 
@@ -361,9 +404,9 @@ class SectorPropagator:
         support = np.zeros((model.dim, model.dim), dtype=bool)
         for m in self.operators:
             support |= m != 0
-        count, labels = connected_components(sp.csr_matrix(support),
-                                             directed=False)
-        self.blocks = [np.flatnonzero(labels == k) for k in range(count)]
+        count, self.labels = connected_components(
+            sp.csr_matrix(support), directed=False)
+        self.blocks = [np.flatnonzero(self.labels == k) for k in range(count)]
         self._dim = model.dim
         self._liouvillian = _liouvillian(model)
 
@@ -391,17 +434,15 @@ class SectorPropagator:
         return out
 
     def observable_blocks(self, operator):
-        """Block-index pairs (i, j) contributing to Tr(operator @ rho).
+        """Sorted block-index pairs (i, j) contributing to Tr(operator @ rho).
 
-        The trace pairs rho[b_i, b_j] with operator[b_j, b_i]; blocks
-        where that operator slice vanishes can be skipped entirely.
+        The trace pairs rho[b_i, b_j] with operator[b_j, b_i], so each
+        nonzero operator[r, c] names the pair (sector of c, sector of r);
+        blocks no nonzero names can be skipped entirely.
         """
-        pairs = []
-        for i, bi in enumerate(self.blocks):
-            for j, bj in enumerate(self.blocks):
-                if np.any(operator[np.ix_(bj, bi)]):
-                    pairs.append((i, j))
-        return pairs
+        rows, cols = np.nonzero(operator)
+        return sorted(set(zip(self.labels[cols].tolist(),
+                              self.labels[rows].tolist())))
 
 
 @dataclass(frozen=True)
@@ -458,6 +499,15 @@ def _peak_log_slope(t, y, t_min=-np.inf):
     return linregress(pt, np.log(pa)), len(peaks)
 
 
+def log_slope(t, y):
+    """Slope of log|y| on t over |y| > 1e-8 max(1, max|y|), and the point
+    count; the slope is None when fewer than 3 points remain."""
+    a = np.abs(y)
+    keep = a > 1e-8 * a.max(initial=1.0)
+    n = int(keep.sum())
+    return (linregress(t[keep], np.log(a[keep])) if n >= 3 else None), n
+
+
 def fit_decay_rate(record, observable):
     """Exponential decay rate of one recorded observable.
 
@@ -472,16 +522,13 @@ def fit_decay_rate(record, observable):
     slope, npts = _peak_log_slope(t, y)
     quality = "envelope"
     if slope is None:
-        a = np.abs(y)
-        mask = a > 1e-8 * max(1.0, a.max())
-        if mask.sum() < 3:
-            return DecayFit(0.0, "none", 0)
-        slope = linregress(t[mask], np.log(a[mask]))
-        quality, npts = "direct", int(mask.sum())
-    rate = -slope
-    if rate <= 0.0:
+        slope, npts = log_slope(t, y)
+        quality = "direct"
+    if slope is None:
+        return DecayFit(0.0, "none", 0)
+    if slope >= 0.0:
         return DecayFit(0.0, "none", npts)
-    return DecayFit(float(rate), quality, npts)
+    return DecayFit(float(-slope), quality, npts)
 
 
 def oscillation_envelope_rate(record, name, frequency):

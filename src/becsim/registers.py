@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
-from .spin import CoherentParams, SpinState, log_binomial, make_coherent
+from .spin import CoherentParams, SpinState, half_weights, make_coherent
 
 MAX_AMPLITUDES = 10**7
 
@@ -150,11 +150,6 @@ def apply_zz(reg: BecRegister, site_i: int, site_j: int, omega_t: float) -> BecR
     return BecRegister(reg.site_n, (tens * phases).reshape(-1))
 
 
-def _half_weights(n: int) -> np.ndarray:
-    """sqrt(C(n, k) / 2^n) for k = 0..n, the |+x> weights, in log space."""
-    return np.exp(0.5 * (log_binomial(n, np.arange(n + 1)) - n * math.log(2.0)))
-
-
 def entangled_state_analytic(n1: int, n2: int, omega_t: float) -> BecRegister:
     """Closed form of exp(-i omega_t Sz Sz) on two +x-polarized BECs.
 
@@ -169,7 +164,7 @@ def entangled_state_analytic(n1: int, n2: int, omega_t: float) -> BecRegister:
     chi = (n2 - 2 * np.arange(n2 + 1)) * omega_t
     chi = np.angle(np.exp(1j * chi))   # wrapped, as a branch's azimuth is
     phases = np.exp(1j * np.outer(2 * np.arange(n1 + 1) - n1, chi))
-    amps = np.outer(_half_weights(n1), _half_weights(n2)) * phases
+    amps = np.outer(half_weights(n1), half_weights(n2)) * phases
     return BecRegister((n1, n2), amps.reshape(-1))
 
 
@@ -187,7 +182,7 @@ def entangler_reduced_state(n1: int, n2: int, omega_t: float) -> DensityMatrix:
     _joint_dim((n1, n2))   # the register's cap, so the same N are refused
     k = np.arange(n1 + 1)
     lags = np.cos(k * (2.0 * math.remainder(omega_t, math.pi))) ** n2
-    w = _half_weights(n1)
+    w = half_weights(n1)
     rho = np.outer(w, w) * lags[np.abs(k[:, None] - k[None, :])]
     return DensityMatrix(rho / np.trace(rho))
 
@@ -246,7 +241,7 @@ def cat_decomposition(n_atoms: int) -> BecRegister:
     branch_even = make_coherent(CoherentParams(alpha_c, beta_c, n))
     branch_odd = make_coherent(CoherentParams(-alpha_c, beta_c, n))
     k1 = np.arange(n + 1)
-    weights = _half_weights(n) * np.exp(1j * math.pi * n * k1 / 2)
+    weights = half_weights(n) * np.exp(1j * math.pi * n * k1 / 2)
     amps = np.zeros((n + 1, n + 1), dtype=complex)
     even = k1 % 2 == 0
     amps[even, :] = weights[even, None] * branch_even.amps[None, :]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .registers import BecRegister, plus_x_state, tensor
+from .registers import BecRegister, partial_trace, plus_x_state, tensor
 from .spin import kron_product, make_fock, spin_operator
 
 MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
@@ -215,10 +215,8 @@ def run_deutsch(oracle: DeutschOracle) -> tuple[str, float]:
         [plus_x_state(n), make_fock(n, n)]
     )
     final = run_schedule(start, oracle.steps())
-    sx = spin_operator("x", n)
-    tens = final.as_tensor()
-    rho1 = np.tensordot(tens, tens.conj(), axes=([1], [1]))
-    readout = float(np.real(np.trace(sx @ rho1))) / n
+    rho1 = partial_trace(final, 0).entries
+    readout = float(np.real(np.trace(spin_operator("x", n) @ rho1))) / n
     return ("constant" if readout > 0 else "balanced"), readout
 
 

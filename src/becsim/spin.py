@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-_NORM_TOL = 1e-12
-
 
 def log_binomial(n: int, k) -> np.ndarray:
     """log of the binomial coefficient C(n, k); stable for large n."""
@@ -30,9 +28,9 @@ def log_binomial(n: int, k) -> np.ndarray:
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
-def sqrt_binomial(n: int, k) -> np.ndarray:
-    """sqrt(C(n, k)) computed in log space to avoid overflow for n > 60."""
-    return np.exp(0.5 * log_binomial(n, k))
+def half_weights(n: int) -> np.ndarray:
+    """sqrt(C(n, k) / 2^n) for k = 0..n, the |+x> weights, in log space."""
+    return np.exp(0.5 * (log_binomial(n, np.arange(n + 1)) - n * math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,10 @@ class CoherentParams:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
             raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {norm}")
-        if abs(norm - 1.0) > _NORM_TOL:
-            # renormalize silently within the loose tolerance
-            s = 1.0 / math.sqrt(norm)
-            object.__setattr__(self, "alpha", complex(self.alpha) * s)
-            object.__setattr__(self, "beta", complex(self.beta) * s)
-        else:
-            object.__setattr__(self, "alpha", complex(self.alpha))
-            object.__setattr__(self, "beta", complex(self.beta))
+        # renormalize silently within the tolerance
+        s = 1.0 / math.sqrt(norm)
+        object.__setattr__(self, "alpha", complex(self.alpha) * s)
+        object.__setattr__(self, "beta", complex(self.beta) * s)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float, n_atoms: int) -> "CoherentParams":

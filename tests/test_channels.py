@@ -11,7 +11,6 @@ from becsim import lindblad
 from becsim.channels import (
     AXIS_CONVENTIONS,
     _gate_configuration,
-    _sector_echo_series,
     build_cavity_model,
     build_dephasing_model,
     build_lambda_model,
@@ -39,6 +38,7 @@ from becsim.lindblad import (
     integrate_master,
     propagate,
     reversal_echo,
+    sector_echo,
 )
 from becsim.registers import plus_x_state
 from becsim.spin import spin_operator
@@ -194,8 +194,21 @@ def test_reversal_echo_rejects_bad_input():
     lossy = LindbladModel(model.hamiltonian, ((lowering, 0.1),))
     with pytest.raises(ValueError, match="Hermitian jumps"):
         reversal_echo(lossy, rho0, readout, (0.5,))
-    with pytest.raises(ValueError, match="gate times must be >= 0"):
+    with pytest.raises(ValueError,
+                       match="gate times must be finite and >= 0"):
         run_fig4b(1, gate_times=(0.5, -0.1))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_echo_protocols_reject_bad_gate_times(bad):
+    # both echoes share one check, before any propagation
+    with pytest.raises(ValueError,
+                       match=r"^gate times must be finite and >= 0$"):
+        run_fig4b(2, gate_times=[bad, 0.5])
+    with pytest.raises(ValueError,
+                       match=r"^gate times must be finite and >= 0$"):
+        run_fig4d(1, n_ph_max=1, gate_times=[bad, 100.0, 200.0, 300.0],
+                  convergence_check=False)
 
 
 def test_fig4b_stops_on_trace_drift(monkeypatch):
@@ -310,8 +323,7 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     rho0 = np.outer(psi, psi.conj())
     sx1 = cavity_sx1(basis, n_atoms) / n_atoms
     dt, steps = 4.0, (1, 15)
-    got = _sector_echo_series(SectorPropagator(model), rho0, sx1,
-                              dt * np.array(steps))
+    got = sector_echo(model, rho0, sx1, dt * np.array(steps))
     fwd = expm(dt * _dense_liouvillian(model.hamiltonian, model.jumps))
     rev = expm(dt * _dense_liouvillian(-model.hamiltonian, model.jumps))
     d = model.dim
@@ -322,6 +334,26 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
         want = np.real(np.trace(sx1 @ vec.reshape(d, d, order="F")))
         assert abs(value - want) < 1e-10
     assert np.ptp(got) > 1e-3   # the echo is not trivially perfect
+
+
+def _brute_force_pairs(blocks, operator):
+    """Every (i, j) whose operator slice [b_j, b_i] has a nonzero entry."""
+    return [(i, j) for i, bi in enumerate(blocks)
+            for j, bj in enumerate(blocks)
+            if np.any(operator[np.ix_(bj, bi)])]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("n_ph_max", [3, 4])
+def test_observable_blocks_match_brute_force_scan(n_atoms, n_ph_max):
+    params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
+                         gamma_c=1.0, n_ph_max=n_ph_max)
+    model, basis = build_cavity_model(params, 1.0)
+    prop = SectorPropagator(model)
+    for op in (cavity_sx1(basis, n_atoms), basis.spin("z"), basis.lower(6),
+               basis.transition(0, 3)):
+        assert prop.observable_blocks(op) == \
+            _brute_force_pairs(prop.blocks, op)
 
 
 def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
@@ -353,11 +385,10 @@ def test_sector_echo_rejects_complex_operators():
     for model in (LindbladModel(h, ((1j * flip, 0.3),)),
                   LindbladModel(h + 0.2 * sigma_y, ((flip, 0.3),))):
         with pytest.raises(ValueError, match="real"):
-            _sector_echo_series(SectorPropagator(model), rho0, readout, [1.0])
+            sector_echo(model, rho0, readout, [1.0])
     # the same model with a real jump runs
     real = LindbladModel(h, ((flip, 0.3),))
-    assert _sector_echo_series(SectorPropagator(real), rho0, readout,
-                               [1.0]).shape == (1,)
+    assert sector_echo(real, rho0, readout, [1.0]).shape == (1,)
 
 
 def test_fig4d_small_system_runs():

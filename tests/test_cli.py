@@ -234,6 +234,23 @@ def test_fig4a_zero_duration(tmp_path):
     assert {float(r[1]) for r in rows} == {1.0}
 
 
+def test_fig4a_short_record_reports_no_quarter_period_reading(tmp_path,
+                                                              capsys):
+    # omega t = pi/2 lies past t_end = 0.5: no sample of the record is the
+    # quarter-period readout, and the summary must not print one
+    out = tmp_path / "f4a.csv"
+    assert main(["fig4a", "--N", "2", "--samples", "51", "--t-end", "0.5",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "the record ends before omega t = pi/2" in text
+    assert "|signal| at omega t = pi/2" not in text
+    assert "PASS: record healthy" in text
+    # a record that reaches pi/2 still reads the signal there
+    assert main(["fig4a", "--N", "2", "--samples", "51", "--t-end", "1.6",
+                 "--out", str(out)]) == 0
+    assert "|signal| at omega t = pi/2: " in capsys.readouterr().out
+
+
 def test_fig4b_error_column_monotone(tmp_path, capsys):
     out = tmp_path / "f4b.csv"
     assert main(["fig4b", "--N-max", "3", "--out", str(out)]) == 0

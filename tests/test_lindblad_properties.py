@@ -8,7 +8,8 @@ sectors SectorPropagator derives must recover the planted blocks, and
 sector evolution, `propagate`, the exact grid evaluator and DOP853 must
 agree on rho(t) while keeping its trace and Hermiticity.  Each block
 eigendecomposition must rebuild the row-major Kronecker block generator
-assembled directly from the sector slices of H and the jumps.  For real H
+assembled directly from the sector slices of H and the jumps, and the
+sector pairs an operator reaches must match a scan of every pair.  For real H
 and jumps, the conjugated forward block eigendecomposition must reproduce
 the evolution of the reversed model (-H, same jumps).
 """
@@ -144,3 +145,17 @@ def test_conjugate_block_eig_reverses_real_models(case):
             got = v @ (np.exp(w * t) * (vinv @ x))
             want = reverse[np.ix_(bi, bj)].reshape(-1)
             assert np.max(np.abs(got - want)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.3))
+def test_observable_blocks_match_brute_force_scan(case, seed, density):
+    # a random sparsity pattern reaches a random subset of the pairs
+    model, _, _, obs, _ = case
+    prop = SectorPropagator(model)
+    rng = np.random.default_rng(seed)
+    sparse_obs = np.where(rng.random(obs.shape) < density, obs, 0)
+    scan = [(i, j) for i, bi in enumerate(prop.blocks)
+            for j, bj in enumerate(prop.blocks)
+            if np.any(sparse_obs[np.ix_(bj, bi)])]
+    assert prop.observable_blocks(sparse_obs) == scan

@@ -24,8 +24,7 @@ from becsim.registers import (
     register_fidelity,
     tensor,
 )
-from becsim.spin import (CoherentParams, make_coherent, make_fock,
-                         sqrt_binomial)
+from becsim.spin import CoherentParams, make_coherent, make_fock
 
 
 def two_site_plus_x(n1, n2):
@@ -78,7 +77,7 @@ def test_entangled_state_analytic_matches_gate(n1, n2):
 def branch_oracle(n1, n2, omega_t):
     """Site 2 over its Fock basis, one site-1 coherent branch per |k2>."""
     amps = np.zeros((n1 + 1, n2 + 1), dtype=complex)
-    w2 = sqrt_binomial(n2, np.arange(n2 + 1)) / math.sqrt(2.0 ** n2)
+    w2 = [math.sqrt(math.comb(n2, k) / 2 ** n2) for k in range(n2 + 1)]
     r = 1 / math.sqrt(2)
     for k2 in range(n2 + 1):
         chi = (n2 - 2 * k2) * omega_t

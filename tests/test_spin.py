@@ -10,13 +10,13 @@ from becsim.registers import register_fidelity, tensor
 from becsim.schedules import parse_schedule, run_schedule
 from becsim.spin import (
     CoherentParams,
+    half_weights,
     log_binomial,
     make_coherent,
     make_fock,
     overlap_analytic,
     overlap_numeric,
     spin_operator,
-    sqrt_binomial,
 )
 
 EPS = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
@@ -29,10 +29,22 @@ def mean_spin(amps, n):
     return np.array(mean), np.vdot(amps, sz @ sz @ amps).real - mean[2] ** 2
 
 
-def test_sqrt_binomial_matches_exact_small_n():
+def test_half_weights_match_exact_small_n():
     for n in range(12):
-        for k in range(n + 1):
-            assert sqrt_binomial(n, k) == pytest.approx(math.sqrt(math.comb(n, k)))
+        exact = [math.sqrt(math.comb(n, k) / 2 ** n) for k in range(n + 1)]
+        assert half_weights(n) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_half_weights_large_n_no_overflow():
+    # C(5000, k) and 2^5000 overflow a double; their ratio does not
+    n = 5000
+    w = half_weights(n)
+    assert w.shape == (n + 1,) and np.all(np.isfinite(w))
+    # gammaln(5001) ~ 3.8e4 is held to ~7e-12, its spacing, in log space
+    assert np.sum(w ** 2) == pytest.approx(1.0, abs=1e-10)
+    for k in (2300, 2500, 2501, 2700):
+        exact = math.sqrt(math.comb(n, k) / 2 ** n)
+        assert w[k] == pytest.approx(exact, rel=1e-10)
 
 
 def test_log_binomial_large_n_no_overflow():
@@ -110,7 +122,7 @@ def test_coherent_amplitudes_binomial_form():
     p = CoherentParams.from_angles(theta, phi, n)
     s = make_coherent(p)
     k = np.arange(n + 1)
-    expected = (sqrt_binomial(n, k)
+    expected = (np.sqrt([math.comb(n, j) for j in k])
                 * np.cos(theta / 2) ** k
                 * (np.sin(theta / 2) * cmath.exp(1j * phi)) ** (n - k))
     assert np.max(np.abs(s.amps - expected)) < 1e-12
