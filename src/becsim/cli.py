@@ -157,9 +157,11 @@ def cmd_fig4a(params, out):
                              samples=params["samples"],
                              axis=params["axis"])
     write_csv(out, *rec.table())
-    t, quarter = rec.times, math.pi / (2 * abs(params["omega"]))
-    signal = rec.series(rec.meta["signal"])[np.argmin(np.abs(t - quarter))]
-    reading = ("|signal| at omega t = pi/2: %.5f" % abs(signal)
+    omega = abs(params["omega"])
+    t, quarter = rec.times, math.pi / (2 * omega)
+    k = np.argmin(np.abs(t - quarter))
+    reading = ("|signal| at omega t = %.4f (sample nearest pi/2): %.5f"
+               % (omega * t[k], abs(rec.series(rec.meta["signal"])[k]))
                if quarter <= t[-1] else
                "the record ends before omega t = pi/2")
     print("fig4a: N=%d axis=%s, %s" % (params["N"], params["axis"], reading))

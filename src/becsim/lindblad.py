@@ -164,65 +164,91 @@ def _liouvillian(model):
 
 
 def _occupied(model, x):
-    """(generator, indices): the Liouvillian on the entries x touches.
+    """(generator, indices, single): the Liouvillian on the entries x touches.
 
     Each connected component of the sparsity pattern is an invariant
     subspace of vec(rho) (Buca & Prosen, NJP 14, 073007, 2012), so an
     evolution of x needs only the sorted indices of the components x
-    touches; every other entry stays 0.
+    touches; every other entry stays 0.  single marks size-1 components.
     """
     lv = _liouvillian(model)
     _, labels = connected_components(lv.astype(bool), directed=False)
     idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
-    return lv[idx][:, idx], idx
+    single = np.bincount(labels)[labels[idx]] == 1
+    return lv[idx][:, idx], idx, single
 
 
 def _exact_series(model, rho, t_end, samples):
-    """Density matrices at `samples` equally spaced times in [0, t_end].
+    """(idx, values): rho.flat[idx] at `samples` equal steps over [0, t_end].
 
-    Exact for a time-independent generator; expm_multiply runs only on
-    the Liouvillian components rho occupies (_occupied).
+    idx sorts the flat indices of the Liouvillian components rho or rho^T
+    touches (_occupied), so it is closed under transposition.  Exact for a
+    time-independent generator: a size-1 component is x exp(lambda t), and
+    one expm_multiply call evolves the union of the others.
     """
-    d = model.dim
-    x = rho.reshape(-1)
-    gen, idx = _occupied(model, x)
-    kept = np.zeros((samples, idx.size), dtype=complex)
-    if idx.size:
-        kept = expm_multiply(gen, x[idx], start=0.0, stop=t_end,
-                             num=samples, endpoint=True)
-    for row in kept:
-        flat = np.zeros(d * d, dtype=complex)
-        flat[idx] = row
-        yield flat.reshape(d, d)
+    gen, idx, single = _occupied(model, (rho != 0) | (rho.T != 0))
+    x = rho.reshape(-1)[idx]
+    vals = np.empty((samples, idx.size), dtype=complex)
+    vals[:, single] = x[single] * np.exp(np.outer(
+        np.linspace(0.0, t_end, samples), gen.diagonal()[single]))
+    rest = ~single
+    if rest.any():
+        vals[:, rest] = expm_multiply(gen[rest][:, rest], x[rest], start=0.0,
+                                      stop=t_end, num=samples, endpoint=True)
+    return idx, vals
 
 
-def _sample_rho(rho_list, times, model, observables, meta):
-    n = len(times)
-    names = list(observables)
-    obs = {name: np.empty(n) for name in names}
+def _sample_rho(idx, vals, t_end, model, observables, meta):
+    """Record of vals[k] = rho.flat[idx] at grid time k of [0, t_end].
+
+    idx is sorted and closed under transposition, and rho is 0 off idx.
+    rho is block diagonal over the connected blocks of the kept pattern:
+    min_eig takes one eigvalsh per block, and a 1x1 block is its diagonal.
+    """
+    d, n = model.dim, len(vals)
+    times = np.linspace(0.0, t_end, n)
+    rows, cols = np.divmod(idx, d)
+    on_diag = np.flatnonzero(rows == cols)
+    flip = np.searchsorted(idx, cols * d + rows)   # position of (j, i)
+    # Tr(O rho) = sum over kept (i, j) of O[j, i] rho[i, j]
+    ops = {name: op[cols, rows] for name, op in observables.items()}
+    obs = {name: np.empty(n) for name in ops}
     trace_dev = np.empty(n)
     herm = np.empty(n)
     min_eig = np.full(n, np.nan)
-    if model.dim <= MIN_EIG_DIM:
+    eig_at, blocks = set(), []
+    if d <= MIN_EIG_DIM:
         eig_at = set(np.linspace(0, n - 1, min(n, MIN_EIG_SAMPLES)).astype(int))
-    else:
-        eig_at = set()
-    for i, rho in enumerate(rho_list):
-        tr = np.trace(rho)
-        trace_dev[i] = abs(tr - 1.0)
-        herm[i] = np.linalg.norm(rho - rho.conj().T, np.inf)
+        _, label = connected_components(sp.csr_matrix(
+            (np.ones(idx.size), (rows, cols)), shape=(d, d)), directed=False)
+        size = np.bincount(label)
+        # a 1x1 block is a kept diagonal entry, or an index nothing touches
+        lone = on_diag[size[label[rows[on_diag]]] == 1]
+        floor = 0.0 if np.unique(rows).size < d else np.inf
+        local = np.zeros(d, dtype=int)      # each index's place in its block
+        for b in np.flatnonzero(size > 1):
+            local[label == b] = np.arange(size[b])
+            sel = np.flatnonzero(label[rows] == b)
+            blocks.append((size[b], local[rows[sel]], local[cols[sel]], sel))
+    for i, v in enumerate(vals):
+        trace_dev[i] = abs(v[on_diag].sum() - 1.0)
         if trace_dev[i] > TRACE_ABORT:
             last_good = times[i - 1] if i else 0.0
             raise IntegrationError(
                 "trace drifted to %.3e at t=%.6g" % (trace_dev[i], times[i]),
                 last_good_time=last_good)
+        # norm(rho - rho^H, inf): the largest row sum of |rho - rho^H|
+        herm[i] = np.bincount(rows, np.abs(v - v[flip].conj())).max()
         if i in eig_at:
-            w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-            min_eig[i] = w[0]
-        for name in names:
-            # Tr(O rho) as an elementwise sum: O(d^2), not a d^3 product
-            obs[name][i] = np.real(np.sum(observables[name].T * rho))
-    return EvolutionRecord(np.asarray(times), obs, trace_dev, herm,
+            low = [v[lone].real.min(initial=floor)]
+            for k, r, c, sel in blocks:
+                m = np.zeros((k, k), dtype=complex)
+                m[r, c] = v[sel]
+                low.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+            min_eig[i] = min(low)
+        for name, o in ops.items():
+            obs[name][i] = np.real(np.sum(o * v))
+    return EvolutionRecord(times, obs, trace_dev, herm,
                            min_eig=min_eig, meta=meta)
 
 
@@ -233,11 +259,11 @@ def solve_ivp(*args, **kwargs):
 
 
 def _rk_series(model, rho, t_end, samples):
-    """The grid of _exact_series, by DOP853 at local relative tol RK_TOL."""
+    """_exact_series's grid by DOP853 (local rtol RK_TOL), keeping all d^2."""
+    d, h = model.dim, model.hamiltonian
     if t_end == 0:
         # solve_ivp cannot integrate over an empty interval
-        return (rho.copy() for _ in range(samples))
-    d, h = model.dim, model.hamiltonian
+        return np.arange(d * d), np.tile(rho.reshape(-1), (samples, 1))
     jumps = [(op, op.conj().T @ op, rate)
              for op, rate in model.active_jumps()]
 
@@ -256,7 +282,7 @@ def _rk_series(model, rho, t_end, samples):
         raise IntegrationError("integrator failed: %s" % sol.message,
                                last_good_time=float(sol.t[-1])
                                if sol.t.size else 0.0)
-    return (sol.y[:, i].reshape(d, d) for i in range(samples))
+    return np.arange(d * d), sol.y.T
 
 
 def integrate_master(model, rho0, t_end, samples, observables=None):
@@ -264,13 +290,13 @@ def integrate_master(model, rho0, t_end, samples, observables=None):
 
     observables maps names to Hermitian matrices; their real expectation
     values are recorded at `samples` equally spaced times in [0, t_end].
-    The model picks the engine, recorded as meta["method"]: "expm"
-    (exact evaluation of the time-independent generator on the invariant
-    blocks rho occupies) for diagonal models and above dimension 64,
-    "rk" (adaptive DOP853) otherwise.
+    The model picks the engine, recorded as meta["method"]: "expm" for
+    diagonal models and above dimension 64 (exact on the blocks rho or
+    rho^T occupies; a size-1 block is x exp(lambda t)), "rk" (adaptive
+    DOP853, all d^2 entries kept) otherwise.  Diagnostics read only the
+    kept entries, min_eig with one eigvalsh per block of their pattern.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    _check_times(t_end, "t_end")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     observables = {name: np.asarray(op, dtype=complex)
@@ -278,25 +304,27 @@ def integrate_master(model, rho0, t_end, samples, observables=None):
     d = model.dim
     rho = _as_matrix(rho0, d)
     exact = _all_diagonal(model) or d > 64
-    rhos = (_exact_series if exact else _rk_series)(model, rho, t_end, samples)
+    series = _exact_series if exact else _rk_series
     meta = {"method": "expm" if exact else "rk", "dim": d}
-    return _sample_rho(rhos, np.linspace(0.0, t_end, samples), model,
+    return _sample_rho(*series(model, rho, t_end, samples), t_end, model,
                        observables, meta)
 
 
 def propagate(model, rho, t):
     """Density matrix at a single later time t (no sampling grid)."""
+    _check_times(t, "t")
     rho = _as_matrix(rho, model.dim)
-    if t == 0.0:
-        return rho
-    return list(_exact_series(model, rho, t, 2))[-1]
+    idx, vals = _exact_series(model, rho, t, 2)
+    out = np.zeros_like(rho)
+    out.flat[idx] = vals[-1]
+    return out
 
 
-def _gate_times(times):
+def _check_times(times, name="gate times"):
     """times as a float array; ValueError unless every one is finite, >= 0."""
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0) & (times < math.inf)):   # NaN fails too
-        raise ValueError("gate times must be finite and >= 0")
+        raise ValueError("%s must be finite and >= 0" % name)
     return times
 
 
@@ -322,10 +350,10 @@ def reversal_echo(model, rho0, readout, times):
     if any(not np.array_equal(op, op.conj().T)
            for op, _ in model.active_jumps()):
         raise ValueError("the Heisenberg-picture echo needs Hermitian jumps")
-    times = _gate_times(times)
+    times = _check_times(times)
     d = model.dim
     rho = _as_matrix(rho0, d)
-    gen, idx = _occupied(model, rho.reshape(-1))
+    gen, idx, _ = _occupied(model, rho.reshape(-1))
     o = np.asarray(readout, dtype=complex).reshape(-1)
     y = np.stack([rho.reshape(-1)[idx], o[idx]], axis=1)
     # flat index i*d + j is a multiple of d + 1 exactly when i == j
@@ -356,7 +384,7 @@ def sector_echo(model, rho0, readout, times):
     block serves any time (the cavity bus); on a few large sectors at
     short times (the dephasing gate) it costs more than reversal_echo.
     """
-    times = _gate_times(times)
+    times = _check_times(times)
     prop = SectorPropagator(model)
     if any(np.any(m.imag) for m in prop.operators):
         raise ValueError("the reversed echo needs a real H and real jumps")

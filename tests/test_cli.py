@@ -243,12 +243,27 @@ def test_fig4a_short_record_reports_no_quarter_period_reading(tmp_path,
                  "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "the record ends before omega t = pi/2" in text
-    assert "|signal| at omega t = pi/2" not in text
+    assert "|signal| at" not in text
     assert "PASS: record healthy" in text
-    # a record that reaches pi/2 still reads the signal there
+    # a record that reaches pi/2 reads the signal at the sample nearest it
+    # (t = 1.6 of 0, 0.032, ..., 1.6) and prints that sample's omega t
     assert main(["fig4a", "--N", "2", "--samples", "51", "--t-end", "1.6",
                  "--out", str(out)]) == 0
-    assert "|signal| at omega t = pi/2: " in capsys.readouterr().out
+    assert ("|signal| at omega t = 1.5680 (sample nearest pi/2): "
+            in capsys.readouterr().out)
+
+
+def test_fig4a_two_samples_report_the_sample_read(tmp_path, capsys):
+    # on the grid (0, 2 pi) the sample nearest pi/2 is t = 0, where the
+    # start state reads 1; the summary names that omega t, not pi/2
+    out = tmp_path / "f4a.csv"
+    assert main(["fig4a", "--N", "2", "--samples", "2",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert ("|signal| at omega t = 0.0000 (sample nearest pi/2): 1.00000"
+            in text)
+    assert "PASS: record healthy" in text
+    assert len(read_csv(out)[1]) == 2
 
 
 def test_fig4b_error_column_monotone(tmp_path, capsys):

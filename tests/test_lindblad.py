@@ -7,7 +7,18 @@ import pytest
 from scipy.linalg import expm
 
 from becsim import lindblad
-from becsim.channels import build_loss_model, cavity_basis, loss_basis
+from becsim.channels import (
+    build_dephasing_model,
+    build_lambda_model,
+    build_loss_model,
+    cavity_basis,
+    embed_loss_state,
+    lambda_observables,
+    loss_basis,
+    loss_site_operator,
+    loss_spin_operator,
+    site_operator,
+)
 from becsim.cli import write_csv
 from becsim.errors import IntegrationError, NumericalIntegrityError
 from becsim.lindblad import (
@@ -19,7 +30,9 @@ from becsim.lindblad import (
     oscillation_envelope_rate,
     propagate,
 )
-from becsim.spin import MultiModeBasis, OccupationBasis, enumerate_occupations
+from becsim.registers import plus_x_state
+from becsim.spin import (MultiModeBasis, OccupationBasis,
+                         enumerate_occupations, make_fock)
 
 
 def qubit_ops():
@@ -142,10 +155,20 @@ def exact_damped_qubit(t, gamma):
     return sx, 1.0 - 2 * pz_up
 
 
+def dense_series(series, model, rho0, t_end, samples):
+    """One engine's kept entries scattered back to a d x d rho per sample."""
+    idx, vals = series(model, rho0, t_end, samples)
+    d = model.dim
+    out = np.zeros((samples, d * d), dtype=complex)
+    out[:, idx] = vals
+    return out.reshape(samples, d, d)
+
+
 def expectations(series, model, rho0, t_end, samples, op):
     """Real Tr(op rho) at each grid point of one engine's series."""
     return np.array([np.real(np.trace(op @ rho))
-                     for rho in series(model, rho0, t_end, samples)])
+                     for rho in dense_series(series, model, rho0, t_end,
+                                             samples)])
 
 
 @pytest.mark.parametrize("series", [lindblad._rk_series,
@@ -173,7 +196,7 @@ def test_zero_duration_yields_rho0(series):
     sm, _, sx = qubit_ops()
     model = LindbladModel(0.5 * sx, ((sm, 0.2),))
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)
-    rhos = list(series(model, rho0, 0.0, 4))
+    rhos = dense_series(series, model, rho0, 0.0, 4)
     assert len(rhos) == 4
     for rho in rhos:
         np.testing.assert_array_equal(rho, rho0)
@@ -237,7 +260,8 @@ def test_empty_support_propagates_to_zero():
     model = LindbladModel(0.9 * sz, ((sm, 0.4),))
     zero = np.zeros((2, 2), dtype=complex)
     assert not np.any(propagate(model, zero, 1.3))
-    assert not np.any(list(lindblad._exact_series(model, zero, 1.3, 3)))
+    assert not np.any(dense_series(lindblad._exact_series, model, zero, 1.3,
+                                   3))
     with pytest.raises(IntegrationError,
                        match=r"trace drifted to 1\.000e\+00 at t=0$"):
         integrate_master(model, zero, 1.3, 3)
@@ -273,6 +297,179 @@ def test_expm_multiply_sees_only_the_occupied_block(monkeypatch):
                        - 0.5 * np.kron(eye, ldl.T))
     want = (expm(t * gen) @ rho0.reshape(-1)).reshape(d, d)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the kept-entry sampler against full-matrix formulas
+
+def assert_matches_full_matrix_oracle(record, rhos, observables):
+    """The record's diagnostics against the d x d formulas, to 1e-12.
+
+    The oracle reads every entry of each rho: np.trace, the inf-norm of
+    rho - rho^H, sum(O.T * rho), and eigvalsh of the Hermitian part at the
+    samples where the record checked positivity.
+    """
+    d = rhos[0].shape[0]
+    checked = np.flatnonzero(np.isfinite(record.min_eig))
+    if d <= lindblad.MIN_EIG_DIM:
+        assert checked.size == min(len(rhos), lindblad.MIN_EIG_SAMPLES)
+    for k, rho in enumerate(rhos):
+        assert abs(abs(np.trace(rho) - 1.0) - record.trace_dev[k]) < 1e-12
+        assert abs(np.linalg.norm(rho - rho.conj().T, np.inf)
+                   - record.herm_defect[k]) < 1e-12
+        for name, op in observables.items():
+            assert abs(np.real(np.sum(op.T * rho))
+                       - record.series(name)[k]) < 1e-12
+    for k in checked:
+        w = np.linalg.eigvalsh(0.5 * (rhos[k] + rhos[k].conj().T))
+        assert abs(w[0] - record.min_eig[k]) < 1e-12
+
+
+def sampled(series, model, rho0, t_end, samples, observables):
+    """(record, dense rhos) of one engine run through the sampler."""
+    record = lindblad._sample_rho(*series(model, rho0, t_end, samples),
+                                  t_end, model, observables, {})
+    return record, dense_series(series, model, rho0, t_end, samples)
+
+
+def _loss_m2_n2():
+    basis = loss_basis(2)
+    site = embed_loss_state(plus_x_state(2), basis)
+    psi = np.kron(site, site)
+    sx1 = loss_site_operator(basis, 2, 0, loss_spin_operator(basis, "x"))
+    return (build_loss_model(2, 2, 0.3), np.outer(psi, psi.conj()),
+            {"sx1": sx1}, lindblad._exact_series)
+
+
+def _dephasing_m2_n3():
+    site = plus_x_state(3).amps
+    psi = np.kron(site, site)
+    h = 0.7 * site_operator(2, 3, {0: "z", 1: "z"})
+    model = build_dephasing_model(2, 3, "z", 0.05, hamiltonian=h)
+    return (model, np.outer(psi, psi.conj()),
+            {"sx1": site_operator(2, 3, {0: "x"})}, lindblad._exact_series)
+
+
+def _lambda_n2():
+    basis = MultiModeBasis(3, 2)
+    rho0 = np.zeros((basis.size,) * 2, dtype=complex)
+    rho0[basis.index[(2, 0, 0)], basis.index[(2, 0, 0)]] = 1.0
+    return (build_lambda_model(2, 1.0, 10.0, 0.1), rho0,
+            lambda_observables(2), lindblad._rk_series)
+
+
+@pytest.mark.parametrize("case", [_loss_m2_n2, _dephasing_m2_n3, _lambda_n2],
+                         ids=["loss_m2_n2", "dephasing_m2_n3", "lambda_rk"])
+def test_sampler_matches_full_matrix_oracle(case):
+    model, rho0, observables, series = case()
+    record, rhos = sampled(series, model, rho0, 6.0, 41, observables)
+    assert_matches_full_matrix_oracle(record, rhos, observables)
+    assert not record.failed
+
+
+def test_kept_entries_closed_under_transposition():
+    # rho0 holds (0, k) but not (k, 0): the (k, 0) component is kept too,
+    # so the Hermiticity defect sees both entries of the pair
+    model = build_loss_model(1, 2, 0.3)
+    d = model.dim
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[0, 0] = rho0[3, 3] = 0.5
+    rho0[0, 3] = 0.3
+    idx, _ = lindblad._exact_series(model, rho0, 1.0, 3)
+    assert 3 in idx and 3 * d in idx
+    rows, cols = np.divmod(idx, d)
+    assert set(idx.tolist()) == set((cols * d + rows).tolist())
+    observables = {"sz": loss_spin_operator(loss_basis(2), "z")}
+    record, rhos = sampled(lindblad._exact_series, model, rho0, 2.0, 9,
+                           observables)
+    assert_matches_full_matrix_oracle(record, rhos, observables)
+    assert record.herm_defect[0] == pytest.approx(0.3, abs=1e-15)
+
+
+def test_negative_eigenvalue_in_a_2x2_block_fails_the_record():
+    # a diagonal model keeps rho's pattern: the kept blocks are {0, 1}
+    # and the 1x1 blocks {2}, {3}; the 2x2 block has eigenvalues
+    # 0.25 +- 0.251, so min_eig is -1e-3 from the first sample on
+    model = build_dephasing_model(1, 3, "z", 0.05)
+    rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.251
+    record = integrate_master(model, rho0, 1.0, 5)
+    assert record.failed
+    assert record.min_eig[0] == pytest.approx(-1e-3, abs=1e-12)
+    assert_matches_full_matrix_oracle(
+        record, dense_series(lindblad._exact_series, model, rho0, 1.0, 5), {})
+
+
+def test_index_without_kept_entries_is_a_zero_eigenvalue():
+    # a diagonal model keeps only (0, 0) and (1, 1) of diag(1/2, 1/2, 0, 0):
+    # indices 2 and 3 hold no kept entry, so rho has the eigenvalue 0 there
+    model = build_dephasing_model(1, 3, "z", 0.05)
+    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    record = integrate_master(model, rho0, 1.0, 5)
+    np.testing.assert_array_equal(record.min_eig, 0.0)
+    assert_matches_full_matrix_oracle(
+        record, dense_series(lindblad._exact_series, model, rho0, 1.0, 5), {})
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model", [build_dephasing_model(1, 3, "z", 0.05),
+                                   build_loss_model(1, 2, 0.1)],
+                         ids=["expm", "rk"])
+def test_non_finite_t_end_is_rejected(model, t_end):
+    # checked before any engine starts: expm_multiply cannot size a NaN
+    # interval, and DOP853 never returns from an infinite one
+    rho0 = np.eye(model.dim, dtype=complex) / model.dim
+    with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+        integrate_master(model, rho0, t_end, 5)
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        propagate(model, rho0, t_end)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper; return the list of first args."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(op, *args, **kwargs):
+        calls.append(op)
+        return original(op, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_size_one_components_skip_expm_multiply(monkeypatch):
+    # collective z dephasing from |+x>|+x>: every kept entry of rho is a
+    # Liouvillian component alone, evolved in closed form
+    calls = _counting(monkeypatch, lindblad, "expm_multiply")
+    site = plus_x_state(6).amps
+    psi = np.kron(site, site)
+    sx1 = site_operator(2, 6, {0: "x"}) / 6
+    record = integrate_master(build_dephasing_model(2, 6, "z", 0.05),
+                              np.outer(psi, psi.conj()), 8.0, 97, {"sx1": sx1})
+    assert calls == []
+    # each coherence of site 1 decays as exp(-2 gamma t)
+    assert np.max(np.abs(record.series("sx1")
+                         - np.exp(-0.1 * record.times))) < 1e-12
+
+
+def test_loss_record_diagnostics_skip_eigvalsh(monkeypatch):
+    # loss M=2 N=4 from |N, 0>|N, 0> keeps only rho's 225 diagonal entries:
+    # one expm_multiply on their (225, 225) generator, and min_eig read
+    # off the 1x1 blocks with no eigvalsh
+    expm_calls = _counting(monkeypatch, lindblad, "expm_multiply")
+    eig_calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+    basis = loss_basis(4)
+    site = embed_loss_state(make_fock(4, 4), basis)
+    psi = np.kron(site, site)
+    sz1 = loss_site_operator(basis, 2, 0, loss_spin_operator(basis, "z")) / 4
+    record = integrate_master(build_loss_model(2, 4, 0.05),
+                              np.outer(psi, psi.conj()), 8.0, 97,
+                              {"sz1": sz1})
+    assert [op.shape for op in expm_calls] == [(225, 225)]
+    assert eig_calls == []
+    assert np.isfinite(record.min_eig).sum() == lindblad.MIN_EIG_SAMPLES
+    assert not record.failed
 
 
 def test_to_csv_format(tmp_path):

@@ -6,7 +6,8 @@ half the models H is diagonal and only the jumps (at least one) connect
 the states of a block, so the sectors must come from the jumps too.  The
 sectors SectorPropagator derives must recover the planted blocks, and
 sector evolution, `propagate`, the exact grid evaluator and DOP853 must
-agree on rho(t) while keeping its trace and Hermiticity.  Each block
+agree on rho(t) while keeping its trace and Hermiticity, and the record
+each engine's kept entries give must match the full-matrix diagnostics.  Each block
 eigendecomposition must rebuild the row-major Kronecker block generator
 assembled directly from the sector slices of H and the jumps, and the
 sector pairs an operator reaches must match a scan of every pair.  For real H
@@ -19,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from becsim.lindblad import (LindbladModel, SectorPropagator, _exact_series,
                              _rk_series, propagate)
+from test_lindblad import (assert_matches_full_matrix_oracle, dense_series,
+                           sampled)
 
 
 def _random_block(rng, k, real=False):
@@ -95,8 +98,25 @@ def test_sector_exact_and_dop853_agree(case):
     want = [np.real(np.trace(obs @ prop.evolve(rho0, s))) for s in times]
     for series in (_exact_series, _rk_series):
         got = [np.real(np.trace(obs @ rho))
-               for rho in series(model, rho0, t, 3)]
+               for rho in dense_series(series, model, rho0, t, 3)]
         assert np.max(np.abs(np.subtract(got, want))) < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models(), st.booleans())
+def test_sampler_matches_full_matrix_oracle(case, block_diagonal):
+    # block_diagonal keeps only rho0's planted diagonal blocks, so the kept
+    # index pattern splits into one block per planted block at least
+    model, planted, rho0, obs, t = case
+    if block_diagonal:
+        label = np.empty(model.dim, dtype=int)
+        for k, b in enumerate(planted):
+            label[b] = k
+        rho0 = np.where(label[:, None] == label[None, :], rho0, 0)
+        rho0 /= np.trace(rho0)
+    for series in (_exact_series, _rk_series):
+        record, rhos = sampled(series, model, rho0, t, 5, {"obs": obs})
+        assert_matches_full_matrix_oracle(record, rhos, {"obs": obs})
 
 
 def _kron_block_generator(model, bi, bj):
