@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .lindblad import solve_ivp
+from .lindblad import _check_times, solve_ivp
 
 #: Reported lifetime when the corresponding rate vanishes.
 INFINITE_LIFETIME = math.inf
@@ -51,13 +51,14 @@ class AtomLossParams:
     Nb0: float = 500.0
 
     def __post_init__(self):
+        # NaN fails every one of these tests
         for name in ("Gamma_l", "K_b", "K_ab", "L_a"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if self.Na0 < 0 or self.Nb0 < 0:
-            raise ValueError("initial populations must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and >= 0" % name)
+        if not 0 < self.density < math.inf:
+            raise ValueError("density must be finite and positive")
+        if not (0 <= self.Na0 < math.inf and 0 <= self.Nb0 < math.inf):
+            raise ValueError("initial populations must be finite and >= 0")
 
     def initial_densities(self):
         """Mean densities of each state, splitting the total density by
@@ -75,8 +76,7 @@ def integrate_loss_odes(p, t_end, samples):
     The density of each state follows its population at fixed trap
     volume, so <n_a>(t) = n_a(0) * Na(t)/Na(0) (and likewise for b).
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    _check_times(t_end, "t_end")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     na0, nb0 = p.initial_densities()

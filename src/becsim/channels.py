@@ -398,7 +398,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
                 "photon cutoff %d not converged: observables move by %.3e"
                 % (n_ph_max, float(np.max(np.abs(errs_hi - errs)))))
 
-    slope, _ = log_slope(gate_times, 1.0 - errs)
+    slope = log_slope(gate_times, 1.0 - errs)
     fitted = math.nan if slope is None else max(0.0, -slope / 4.0)
     return BusGateResult(n_atoms, gate_times, errs, omega2_eff, gate_time,
                          fitted,

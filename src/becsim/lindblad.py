@@ -198,6 +198,13 @@ def _exact_series(model, rho, t_end, samples):
     return idx, vals
 
 
+def _check_trace(drift, t, last_good):
+    """IntegrationError when the trace drift at time t passes TRACE_ABORT."""
+    if drift > TRACE_ABORT:
+        raise IntegrationError("trace drifted to %.3e at t=%.6g" % (drift, t),
+                               last_good_time=last_good)
+
+
 def _sample_rho(idx, vals, t_end, model, observables, meta):
     """Record of vals[k] = rho.flat[idx] at grid time k of [0, t_end].
 
@@ -232,11 +239,7 @@ def _sample_rho(idx, vals, t_end, model, observables, meta):
             blocks.append((size[b], local[rows[sel]], local[cols[sel]], sel))
     for i, v in enumerate(vals):
         trace_dev[i] = abs(v[on_diag].sum() - 1.0)
-        if trace_dev[i] > TRACE_ABORT:
-            last_good = times[i - 1] if i else 0.0
-            raise IntegrationError(
-                "trace drifted to %.3e at t=%.6g" % (trace_dev[i], times[i]),
-                last_good_time=last_good)
+        _check_trace(trace_dev[i], times[i], times[i - 1] if i else 0.0)
         # norm(rho - rho^H, inf): the largest row sum of |rho - rho^H|
         herm[i] = np.bincount(rows, np.abs(v - v[flip].conj())).max()
         if i in eig_at:
@@ -362,11 +365,7 @@ def reversal_echo(model, rho0, readout, times):
     last = 0.0
     for k in np.argsort(times, kind="stable"):
         y = expm_multiply(gen * (times[k] - last), y)
-        drift = abs(y[diag, 0].sum() - 1.0)
-        if drift > TRACE_ABORT:
-            raise IntegrationError(
-                "trace drifted to %.3e at t=%.6g" % (drift, times[k]),
-                last_good_time=last)
+        _check_trace(abs(y[diag, 0].sum() - 1.0), times[k], last)
         vals[k] = np.real(np.vdot(y[:, 1], y[:, 0]))
         last = float(times[k])
     return vals
@@ -452,15 +451,6 @@ class SectorPropagator:
         w, v, vinv = self.block_eig(i, j)
         return (v @ (np.exp(w * t) * (vinv @ x.reshape(-1)))).reshape(x.shape)
 
-    def evolve(self, rho, t):
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for i, bi in enumerate(self.blocks):
-            for j, bj in enumerate(self.blocks):
-                out[np.ix_(bi, bj)] = self.evolve_block(
-                    rho[np.ix_(bi, bj)], i, j, t)
-        return out
-
     def observable_blocks(self, operator):
         """Sorted block-index pairs (i, j) contributing to Tr(operator @ rho).
 
@@ -475,15 +465,9 @@ class SectorPropagator:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted exponential decay rate with a quality tag.
-
-    quality: "envelope" (>= 3 interpolated peaks), "direct" (log-linear
-    fit of |signal|), or "none" (signal does not decay; rate is 0).
-    """
+    """Fitted exponential decay rate; 0 when the signal does not decay."""
 
     rate: float
-    quality: str
-    points: int = 0
 
 
 def _envelope_peaks(t, y):
@@ -514,49 +498,25 @@ def linregress(x, y):
     return float(dx @ (y - np.mean(y)) / (dx @ dx))
 
 
-def _peak_log_slope(t, y, t_min=-np.inf):
-    """Slope of log peak height against peak time, and the peak count.
-
-    Peaks are the interpolated maxima of |y| later than t_min; the slope
-    is None when fewer than 3 remain.
-    """
-    peaks = [p for p in _envelope_peaks(t, y) if p[0] > t_min]
-    if len(peaks) < 3:
-        return None, len(peaks)
-    pt, pa = np.array(peaks).T
-    return linregress(pt, np.log(pa)), len(peaks)
-
-
 def log_slope(t, y):
-    """Slope of log|y| on t over |y| > 1e-8 max(1, max|y|), and the point
-    count; the slope is None when fewer than 3 points remain."""
+    """Slope of log|y| on t over |y| > 1e-8 max(1, max|y|); None when
+    fewer than 3 points remain."""
     a = np.abs(y)
     keep = a > 1e-8 * a.max(initial=1.0)
-    n = int(keep.sum())
-    return (linregress(t[keep], np.log(a[keep])) if n >= 3 else None), n
+    return linregress(t[keep], np.log(a[keep])) if keep.sum() >= 3 else None
 
 
 def fit_decay_rate(record, observable):
-    """Exponential decay rate of one recorded observable.
+    """Exponential decay rate of one recorded observable, from log_slope.
 
-    Fits log peak magnitude against peak time when the signal oscillates
-    (>= 3 detected peaks); otherwise fits log|signal| directly.  Returns
-    a DecayFit; non-decaying signals give rate 0 with quality "none".
+    A signal that does not decay, or keeps fewer than 3 points, gives
+    rate 0.
     """
     t = record.times
     if t.size < 10:
         raise ValueError("need at least 10 samples to fit")
-    y = record.series(observable)
-    slope, npts = _peak_log_slope(t, y)
-    quality = "envelope"
-    if slope is None:
-        slope, npts = log_slope(t, y)
-        quality = "direct"
-    if slope is None:
-        return DecayFit(0.0, "none", 0)
-    if slope >= 0.0:
-        return DecayFit(0.0, "none", npts)
-    return DecayFit(float(-slope), quality, npts)
+    slope = log_slope(t, record.series(observable))
+    return DecayFit(0.0 if slope is None or slope >= 0.0 else float(-slope))
 
 
 def oscillation_envelope_rate(record, name, frequency):
@@ -581,7 +541,9 @@ def oscillation_envelope_rate(record, name, frequency):
             "period (%.6g)" % (t.size, t[-1], period))
     width = max(3, int(round(period / (t[1] - t[0]))))
     trend = np.convolve(y, np.ones(width) / width, mode="same")
-    slope, _ = _peak_log_slope(t, y - trend, ENVELOPE_TAIL * t[-1])
-    if slope is None:
+    peaks = [p for p in _envelope_peaks(t, y - trend)
+             if p[0] > ENVELOPE_TAIL * t[-1]]
+    if len(peaks) < 3:
         raise ValueError("too few envelope peaks in the fit window")
-    return float(-slope)
+    pt, pa = np.array(peaks).T
+    return float(-linregress(pt, np.log(pa)))

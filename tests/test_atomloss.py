@@ -50,6 +50,15 @@ def test_populations_monotone_non_increasing():
     assert na[0] == pytest.approx(500.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("Gamma_l", math.nan), ("Gamma_l", math.inf), ("K_b", math.nan),
+    ("K_ab", math.inf), ("L_a", math.nan), ("density", math.nan),
+    ("density", math.inf), ("Na0", math.nan), ("Nb0", math.inf)])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        AtomLossParams(**{field: value})
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AtomLossParams(Gamma_l=-0.1)
@@ -82,3 +91,10 @@ def test_integrate_rejects_bad_arguments():
         integrate_loss_odes(AtomLossParams(), -1.0, 10)
     with pytest.raises(ValueError):
         integrate_loss_odes(AtomLossParams(), 1.0, 1)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_non_finite_t_end(t_end):
+    # screened before the integrator starts: a NaN or inf end never returns
+    with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+        integrate_loss_odes(AtomLossParams(), t_end, 5)

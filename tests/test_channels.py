@@ -36,12 +36,12 @@ from becsim.lindblad import (
     SectorPropagator,
     fit_decay_rate,
     integrate_master,
-    propagate,
     reversal_echo,
     sector_echo,
 )
 from becsim.registers import plus_x_state
 from becsim.spin import spin_operator
+from test_lindblad import dense_evolve, dense_liouvillian, evolve_by_blocks
 
 
 def plus_x_rho(m_sites, n_atoms):
@@ -231,17 +231,6 @@ def test_fig4a_axis_conventions_agree():
     assert np.max(np.abs(sz1 - sx1)) < 1e-8
 
 
-def _dense_liouvillian(h, jumps):
-    """Column-stacked generator: vec(A rho B) = (B^T kron A) vec(rho)."""
-    eye = np.eye(h.shape[0])
-    lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op, rate in jumps:
-        ldl = op.conj().T @ op
-        lv = lv + rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl)
-                          - 0.5 * np.kron(ldl.T, eye))
-    return lv
-
-
 def test_fig4b_fixed_time_error_matches_dense_oracle():
     # caption convention built by hand: S^x1 S^x2 gate, z dephasing,
     # both sites at S^z = N, readout <S^z1>/N after t forward, t reversed
@@ -255,7 +244,7 @@ def test_fig4b_fixed_time_error_matches_dense_oracle():
         psi = np.kron(site, site)
         vec = np.outer(psi, psi.conj()).reshape(-1, order="F")
         for sign in (1.0, -1.0):
-            lv = _dense_liouvillian(sign * model.hamiltonian, model.jumps)
+            lv = dense_liouvillian(sign * model.hamiltonian, model.jumps)
             vec = expm(lv * t) @ vec
         rho = vec.reshape(model.dim, model.dim, order="F")
         readout = site_operator(2, n, {0: "z"}) / n
@@ -308,8 +297,8 @@ def test_cavity_sector_evolution_matches_dense():
     psi = cavity_initial_state(basis, 1)
     rho0 = np.outer(psi, psi.conj())
     t = 0.8
-    dense = propagate(model, rho0, t)
-    assert np.max(np.abs(prop.evolve(rho0, t) - dense)) < 1e-8
+    dense = dense_evolve(model, rho0, t)
+    assert np.max(np.abs(evolve_by_blocks(prop, rho0, t) - dense)) < 1e-8
 
 
 @pytest.mark.parametrize("n_atoms,exc_max", [(1, "auto"), (2, 1)])
@@ -324,8 +313,8 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     sx1 = cavity_sx1(basis, n_atoms) / n_atoms
     dt, steps = 4.0, (1, 15)
     got = sector_echo(model, rho0, sx1, dt * np.array(steps))
-    fwd = expm(dt * _dense_liouvillian(model.hamiltonian, model.jumps))
-    rev = expm(dt * _dense_liouvillian(-model.hamiltonian, model.jumps))
+    fwd = expm(dt * dense_liouvillian(model.hamiltonian, model.jumps))
+    rev = expm(dt * dense_liouvillian(-model.hamiltonian, model.jumps))
     d = model.dim
     for k, value in zip(steps, got):
         vec = rho0.reshape(-1, order="F")

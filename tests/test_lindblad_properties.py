@@ -5,9 +5,10 @@ basis: random Hermitian blocks for H and 0-3 block-diagonal jumps.  In
 half the models H is diagonal and only the jumps (at least one) connect
 the states of a block, so the sectors must come from the jumps too.  The
 sectors SectorPropagator derives must recover the planted blocks, and
-sector evolution, `propagate`, the exact grid evaluator and DOP853 must
-agree on rho(t) while keeping its trace and Hermiticity, and the record
-each engine's kept entries give must match the full-matrix diagnostics.  Each block
+`propagate`, the exact grid evaluator and DOP853 must agree on rho(t) with
+the dense np.kron Liouvillian under scipy.linalg.expm while keeping its
+trace and Hermiticity, and the record each engine's kept entries give
+must match the full-matrix diagnostics.  Each block
 eigendecomposition must rebuild the row-major Kronecker block generator
 assembled directly from the sector slices of H and the jumps, and the
 sector pairs an operator reaches must match a scan of every pair.  For real H
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from becsim.lindblad import (LindbladModel, SectorPropagator, _exact_series,
                              _rk_series, propagate)
-from test_lindblad import (assert_matches_full_matrix_oracle, dense_series,
-                           sampled)
+from test_lindblad import (assert_matches_full_matrix_oracle, dense_evolve,
+                           dense_series, sampled)
 
 
 def _random_block(rng, k, real=False):
@@ -86,16 +87,16 @@ def test_derived_sectors_recover_planted_blocks(case):
 @given(planted_models())
 def test_sector_exact_and_dop853_agree(case):
     model, _, rho0, obs, t = case
-    prop = SectorPropagator(model)
-    by_sector = prop.evolve(rho0, t)
+    dense = dense_evolve(model, rho0, t)
     exact = propagate(model, rho0, t)
-    for rho in (by_sector, exact):
+    for rho in (dense, exact):
         assert abs(np.trace(rho) - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
-    assert np.max(np.abs(by_sector - exact)) < 1e-7
+    assert np.max(np.abs(dense - exact)) < 1e-7
 
     times = np.linspace(0.0, t, 3)
-    want = [np.real(np.trace(obs @ prop.evolve(rho0, s))) for s in times]
+    want = [np.real(np.trace(obs @ dense_evolve(model, rho0, s)))
+            for s in times]
     for series in (_exact_series, _rk_series):
         got = [np.real(np.trace(obs @ rho))
                for rho in dense_series(series, model, rho0, t, 3)]
@@ -156,8 +157,8 @@ def test_conjugate_block_eig_reverses_real_models(case):
     model, _, rho0, _, t = case
     assert not np.any(model.hamiltonian.imag)
     prop = SectorPropagator(model)
-    reverse = SectorPropagator(
-        LindbladModel(-model.hamiltonian, model.jumps)).evolve(rho0, t)
+    reverse = dense_evolve(LindbladModel(-model.hamiltonian, model.jumps),
+                           rho0, t)
     for i, bi in enumerate(prop.blocks):
         for j, bj in enumerate(prop.blocks):
             w, v, vinv = (a.conj() for a in prop.block_eig(i, j))
