@@ -329,8 +329,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         # G (b+ c p+ + c+ b p): photon emitted as the atom drops c -> b
         bcp = basis.ladder((b_mode, 6), (c_mode,))
         h = h + g_g * (bcp + bcp.conj().T)
-    jumps = ((basis.lower(6), params.gamma_c),) if params.gamma_c else ()
-    return LindbladModel(h, jumps), basis
+    return LindbladModel(h, ((basis.lower(6), params.gamma_c),)), basis
 
 
 def cavity_initial_state(basis, n_atoms):
@@ -346,7 +345,7 @@ def cavity_initial_state(basis, n_atoms):
     return vec
 
 
-def cavity_sx1(basis, n_atoms):
+def cavity_sx1(basis):
     """<S^x> of BEC 1 in the (a, b) pseudospin, over the cavity basis."""
     return basis.spin("x")
 
@@ -370,12 +369,12 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
 
     Protocol mirrors the dephasing gate test: evolve forward for t,
     reverse the Hamiltonian for another t (photon decay stays on), and
-    read the error 1 - <S^x1>/N.  The echo runs on the sector block
-    generators (lindblad.sector_echo), and gate times must be finite and
-    >= 0.  The fitted decoherence rate comes from the log-slope of the
-    surviving polarization (lindblad.log_slope; NaN below 3 points):
-    under an effective S^z-jump dephasing at rate Gamma acting for the
-    doubled duration 2t, the signal is exp(-4 Gamma t).
+    read the error 1 - <S^x1>/N.  The echo diagonalizes each Liouvillian
+    component the readout reaches (lindblad.sector_echo), and gate times
+    must be finite and >= 0.  The fitted decoherence rate comes from the
+    log-slope of the surviving polarization (lindblad.log_slope; NaN below
+    3 points): under an effective S^z-jump dephasing at rate Gamma acting
+    for the doubled duration 2t, the signal is exp(-4 Gamma t).
     """
     omega2_eff = g_laser ** 2 * cavity_g ** 2 / (4.0 * delta ** 3)
     gate_time = math.pi / (4.0 * n_atoms * omega2_eff)
@@ -387,7 +386,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
         params = CavityModel(n_atoms, delta, cavity_g, gamma_c, ph_max)
         model, basis = build_cavity_model(params, g_laser)
         psi = cavity_initial_state(basis, n_atoms)
-        sx1 = cavity_sx1(basis, n_atoms) / n_atoms
+        sx1 = cavity_sx1(basis) / n_atoms
         return 1.0 - sector_echo(model, psi, sx1, gate_times)
 
     errs = errors_at(n_ph_max)

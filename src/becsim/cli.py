@@ -390,7 +390,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         params = resolve_params(args)
-    except (ArgumentError, OSError) as exc:
+    except (ArgumentError, OSError, UnicodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     out = params["out"] or ("%s.csv" % args.command)

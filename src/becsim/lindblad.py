@@ -6,9 +6,9 @@ the integrator propagates the density matrix
     drho/dt = -i[H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2)
 
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
-uses the one sparse Liouvillian `_liouvillian` builds: the grid
-evaluator and reversal_echo restrict it to the invariant blocks rho
-occupies, and sector_echo diagonalizes its (sector, sector) slices.
+uses the one sparse Liouvillian `_liouvillian` builds, restricted to the
+connected components rho occupies (`_occupied`): the grid evaluator and
+reversal_echo step them, and sector_echo diagonalizes them one by one.
 Adaptive DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
@@ -52,7 +52,7 @@ ENVELOPE_TAIL = 0.3
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus (jump operator, rate) pairs on one basis."""
+    """Hamiltonian plus (jump operator, rate) pairs, rate 0 ones dropped."""
 
     hamiltonian: np.ndarray
     jumps: tuple = ()
@@ -81,14 +81,11 @@ class LindbladModel:
                 1.0, np.linalg.norm(h, np.inf)):
             raise ValueError("hamiltonian is not Hermitian")
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", tuple(jumps))
+        object.__setattr__(self, "jumps", tuple(j for j in jumps if j[1] > 0))
 
     @property
     def dim(self):
         return self.hamiltonian.shape[0]
-
-    def active_jumps(self):
-        return [(op, rate) for op, rate in self.jumps if rate > 0.0]
 
 
 @dataclass
@@ -144,7 +141,7 @@ def _as_matrix(rho0, dim):
 
 
 def _all_diagonal(model):
-    mats = [model.hamiltonian] + [op for op, _ in model.active_jumps()]
+    mats = [model.hamiltonian] + [op for op, _ in model.jumps]
     return not any(np.count_nonzero(m - np.diag(np.diagonal(m))) for m in mats)
 
 
@@ -154,28 +151,30 @@ def _liouvillian(model):
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(model.hamiltonian)
     lv = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for op, rate in model.active_jumps():
+    for op, rate in model.jumps:
         l = sp.csr_matrix(op)
         ldl = (l.conj().T @ l).tocsr()
         lv = lv + rate * (sp.kron(l, l.conj())
                           - 0.5 * sp.kron(ldl, eye)
                           - 0.5 * sp.kron(eye, ldl.T))
-    return lv.tocsr()
+    lv = lv.tocsr()
+    lv.eliminate_zeros()    # sp.kron stores the zeros of a half-dense factor
+    return lv
 
 
 def _occupied(model, x):
-    """(generator, indices, single): the Liouvillian on the entries x touches.
+    """(generator, indices, labels): the Liouvillian on the entries x touches.
 
     Each connected component of the sparsity pattern is an invariant
     subspace of vec(rho) (Buca & Prosen, NJP 14, 073007, 2012), so an
     evolution of x needs only the sorted indices of the components x
-    touches; every other entry stays 0.  single marks size-1 components.
+    touches (labels: each flat index's component); all else stays 0.
     """
     lv = _liouvillian(model)
     _, labels = connected_components(lv.astype(bool), directed=False)
     idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
-    single = np.bincount(labels)[labels[idx]] == 1
-    return lv[idx][:, idx], idx, single
+    lv = lv[idx]    # frees the full generator: one copy fewer at the peak
+    return lv[:, idx], idx, labels
 
 
 def _exact_series(model, rho, t_end, samples):
@@ -186,7 +185,8 @@ def _exact_series(model, rho, t_end, samples):
     time-independent generator: a size-1 component is x exp(lambda t), and
     one expm_multiply call evolves the union of the others.
     """
-    gen, idx, single = _occupied(model, (rho != 0) | (rho.T != 0))
+    gen, idx, labels = _occupied(model, (rho != 0) | (rho.T != 0))
+    single = np.bincount(labels)[labels[idx]] == 1
     x = rho.reshape(-1)[idx]
     vals = np.empty((samples, idx.size), dtype=complex)
     vals[:, single] = x[single] * np.exp(np.outer(
@@ -267,8 +267,7 @@ def _rk_series(model, rho, t_end, samples):
     if t_end == 0:
         # solve_ivp cannot integrate over an empty interval
         return np.arange(d * d), np.tile(rho.reshape(-1), (samples, 1))
-    jumps = [(op, op.conj().T @ op, rate)
-             for op, rate in model.active_jumps()]
+    jumps = [(op, op.conj().T @ op, rate) for op, rate in model.jumps]
 
     def rhs(_t, y):
         r = y.reshape(d, d)
@@ -350,8 +349,7 @@ def reversal_echo(model, rho0, readout, times):
     times (the dephasing gate); past many fast periods (the cavity bus)
     expm_multiply takes very many steps, and sector_echo is faster.
     """
-    if any(not np.array_equal(op, op.conj().T)
-           for op, _ in model.active_jumps()):
+    if any(not np.array_equal(op, op.conj().T) for op, _ in model.jumps):
         raise ValueError("the Heisenberg-picture echo needs Hermitian jumps")
     times = _check_times(times)
     d = model.dim
@@ -372,37 +370,41 @@ def reversal_echo(model, rho0, readout, times):
 
 
 def sector_echo(model, rho0, readout, times):
-    """reversal_echo's signal, from the SectorPropagator block generators.
+    """reversal_echo's signal, from one eig per Liouvillian component.
 
     For real H and jumps (else ValueError) the reversed model's (-H, same
-    jumps) block generator is the conjugate of the forward one, so each
-    block's (w, V, V^-1), computed once and held only while that block
-    runs, evolves x backwards as conj(V exp(w t) V^-1 conj(x)).  Only
-    blocks the readout pairs with are evolved; Hermitian symmetry folds
-    the (j, i) block into 2 Re of the (i, j) contribution.  One eig per
-    block serves any time (the cavity bus); on a few large sectors at
-    short times (the dephasing gate) it costs more than reversal_echo.
+    jumps) generator is the conjugate of the forward one, so a component's
+    (w, V, V^-1) evolves x to all times at once, and back as
+    conj(V exp(w t) V^-1 conj(x)).  Only components (_occupied) that rho0
+    and the readout both touch run, one at a time, and the component of
+    the transposed entries folds into 2 Re of the contribution.  One eig
+    serves any time (the cavity bus); on a few large components at short
+    times (the dephasing gate) it costs more than reversal_echo.
     """
     times = _check_times(times)
-    prop = SectorPropagator(model)
-    if any(np.any(m.imag) for m in prop.operators):
+    if any(np.any(m.imag) for m in [model.hamiltonian] + [
+            op for op, _ in model.jumps]):
         raise ValueError("the reversed echo needs a real H and real jumps")
-    rho0 = _as_matrix(rho0, model.dim)
-    pairs = set(prop.observable_blocks(readout))
+    d = model.dim
+    rho = _as_matrix(rho0, d).reshape(-1)
+    gen, idx, labels = _occupied(model, rho)
+    # Tr(O rho) pairs rho[i, j] with O[j, i]
+    o = np.asarray(readout, dtype=complex).T.reshape(-1)[idx]
+    own, flip = labels[idx], labels.reshape(d, d).T.reshape(-1)[idx]
+    reached = set(own[o != 0].tolist())
     vals = np.zeros(times.size)
-    for i, j in sorted(pairs):
-        if i > j and (j, i) in pairs:
+    for c in sorted(reached):
+        pos = np.flatnonzero(own == c)
+        mate = flip[pos[0]]     # the component of the transposed entries
+        if mate < c and mate in reached:
             continue
-        weight = 2.0 if (i != j and (j, i) in pairs) else 1.0
-        bi, bj = prop.blocks[i], prop.blocks[j]
-        x0 = rho0[np.ix_(bi, bj)].reshape(-1)
-        o_blk = readout[np.ix_(bj, bi)]
-        w, v, vinv = prop.block_eig(i, j)
-        for k, t in enumerate(times):
-            xt = v @ (np.exp(w * t) * (vinv @ x0))
-            yt = np.conj(v @ (np.exp(w * t) * (vinv @ np.conj(xt))))
-            vals[k] += weight * float(np.real(np.trace(
-                o_blk @ yt.reshape(bi.size, bj.size))))
+        w, v = np.linalg.eig(gen[pos][:, pos].toarray())
+        vinv = np.linalg.inv(v)
+        grow = np.exp(np.outer(w, times))
+        xt = v @ (grow * (vinv @ rho[idx[pos]])[:, None])
+        yt = np.conj(v @ (grow * (vinv @ np.conj(xt))))
+        fold = 2.0 if mate != c and mate in reached else 1.0
+        vals += fold * np.real(o[pos] @ yt)
     return vals
 
 
@@ -410,7 +412,7 @@ class SectorPropagator:
     """Exact Lindblad propagator over the sectors the operators conserve.
 
     A sector is a connected component of the joint support of the
-    Hamiltonian and the active jumps, so every operator is block diagonal
+    Hamiltonian and the jumps, so every operator is block diagonal
     over the sectors and the superoperator decouples into independent
     (sector, sector) blocks of the density matrix (Buca & Prosen, NJP 14,
     073007, 2012).  Sectors are ordered by their lowest basis index.
@@ -425,9 +427,8 @@ class SectorPropagator:
     """
 
     def __init__(self, model):
-        # H and the active jumps over the full basis
-        self.operators = [model.hamiltonian] + [
-            op for op, _ in model.active_jumps()]
+        # H and the jumps over the full basis
+        self.operators = [model.hamiltonian] + [op for op, _ in model.jumps]
         support = np.zeros((model.dim, model.dim), dtype=bool)
         for m in self.operators:
             support |= m != 0

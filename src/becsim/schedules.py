@@ -241,28 +241,31 @@ def parse_schedule(text: str) -> list[GateStep]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if fields[0] != "term" or ";" not in fields:
-            raise ValueError(f"line {lineno}: expected 'term coeff site:axis ... ; time'")
-        sep = fields.index(";")
-        if sep < 2 or sep != len(fields) - 2:
-            raise ValueError(f"line {lineno}: malformed term line")
-        coeff = float(fields[1])
-        factors = []
-        for tok in fields[2:sep]:
-            site_s, _, axis = tok.partition(":")
-            if not axis:
-                raise ValueError(f"line {lineno}: factor {tok!r} is not site:axis")
-            site = int(site_s)
-            if site < 1:
-                raise ValueError(f"line {lineno}: sites are 1-based")
-            factors.append((site - 1, axis))
-        time = float(fields[sep + 1])
-        if not (math.isfinite(coeff) and math.isfinite(time)):
-            raise ValueError(f"line {lineno}: coefficient and time must be finite")
-        term = SpinProductTerm(coeff, tuple(factors))
-        if steps and abs(steps[-1].time - time) == 0.0:
-            steps[-1] = GateStep(steps[-1].terms + (term,), time)
-        else:
-            steps.append(GateStep((term,), time))
+        try:
+            fields = line.split()
+            if fields[0] != "term" or ";" not in fields:
+                raise ValueError("expected 'term coeff site:axis ... ; time'")
+            sep = fields.index(";")
+            if sep < 2 or sep != len(fields) - 2:
+                raise ValueError("malformed term line")
+            coeff = float(fields[1])
+            factors = []
+            for tok in fields[2:sep]:
+                site_s, _, axis = tok.partition(":")
+                if not axis:
+                    raise ValueError(f"factor {tok!r} is not site:axis")
+                site = int(site_s)
+                if site < 1:
+                    raise ValueError("sites are 1-based")
+                factors.append((site - 1, axis))
+            time = float(fields[sep + 1])
+            if not (math.isfinite(coeff) and math.isfinite(time)):
+                raise ValueError("coefficient and time must be finite")
+            term = SpinProductTerm(coeff, tuple(factors))
+            if steps and abs(steps[-1].time - time) == 0.0:
+                steps[-1] = GateStep(steps[-1].terms + (term,), time)
+            else:
+                steps.append(GateStep((term,), time))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return steps

@@ -129,7 +129,7 @@ def test_lambda_model_hermitian_and_tagged():
     model = build_lambda_model(3, 1.0, 10.0, 0.1)
     h = model.hamiltonian
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    assert len(model.active_jumps()) == 2
+    assert len(model.jumps) == 2
 
 
 def test_lambda_rabi_frequency_no_decay():
@@ -310,7 +310,7 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     model, basis = build_cavity_model(params, 1.0, exc_max=exc_max)
     psi = cavity_initial_state(basis, n_atoms)
     rho0 = np.outer(psi, psi.conj())
-    sx1 = cavity_sx1(basis, n_atoms) / n_atoms
+    sx1 = cavity_sx1(basis) / n_atoms
     dt, steps = 4.0, (1, 15)
     got = sector_echo(model, rho0, sx1, dt * np.array(steps))
     fwd = expm(dt * dense_liouvillian(model.hamiltonian, model.jumps))
@@ -339,7 +339,7 @@ def test_observable_blocks_match_brute_force_scan(n_atoms, n_ph_max):
                          gamma_c=1.0, n_ph_max=n_ph_max)
     model, basis = build_cavity_model(params, 1.0)
     prop = SectorPropagator(model)
-    for op in (cavity_sx1(basis, n_atoms), basis.spin("z"), basis.lower(6),
+    for op in (cavity_sx1(basis), basis.spin("z"), basis.lower(6),
                basis.transition(0, 3)):
         assert prop.observable_blocks(op) == \
             _brute_force_pairs(prop.blocks, op)
@@ -350,7 +350,7 @@ def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
                          gamma_c=1.0, n_ph_max=1)
     model, basis = build_cavity_model(params, 1.0)
     pairs = set(SectorPropagator(model).observable_blocks(
-        cavity_sx1(basis, 1)))
+        cavity_sx1(basis)))
     folded = [(i, j) for i, j in pairs if not (i > j and (j, i) in pairs)]
     assert 0 < len(folded) < len(pairs)
     calls = []
@@ -391,7 +391,7 @@ def test_fig4d_small_system_runs():
 
 def test_cavity_sx1_readout_norm():
     basis = cavity_basis(2, 1, 2)
-    sx1 = cavity_sx1(basis, 2)
+    sx1 = cavity_sx1(basis)
     psi = cavity_initial_state(basis, 2)
     val = float(np.real(np.vdot(psi, sx1 @ psi)))
     assert val == pytest.approx(2.0, abs=1e-10)   # fully +x polarized

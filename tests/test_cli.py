@@ -344,6 +344,26 @@ def test_schedule_non_finite_exits_1(line, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("term abc 1:z ; 1", "could not convert string to float"),
+    ("term 1 a:z ; 1", "invalid literal for int()"),
+    ("term 1 1:q ; 1", "unknown axis 'q'"),
+    ("term 1 1:z 1:x ; 1", "at most one factor per site"),
+    ("term 1 1:z ; -1", "time must be >= 0"),
+    ("term 1 0:z ; 1", "sites are 1-based"),
+])
+def test_schedule_parse_errors_name_the_line(line, message, tmp_path,
+                                              capsys):
+    sched = tmp_path / "sched.txt"
+    sched.write_text("# a comment line\nterm 1 1:z ; 0.5\n" + line + "\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("schedule = %s\n" % sched)
+    out = tmp_path / "sched.csv"
+    assert main(["schedule", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: line 3: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("N = 5  # comment\n\nsamples = 101\n")
@@ -366,6 +386,15 @@ def test_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("N = five\n")
     assert main(["deutsch", "--config", str(cfg)]) == 1
+
+
+def test_non_utf8_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"N = 3\n\xff\n")
+    out = tmp_path / "f4a.csv"
+    assert main(["fig4a", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):

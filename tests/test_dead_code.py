@@ -17,7 +17,8 @@ PACKAGE = sorted((ROOT / "src" / "becsim").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # read only by perfbench/tracing.py, which wraps them by name
-TRACER_ONLY = {"lindblad.propagate", "registers.entangled_state_analytic",
+TRACER_ONLY = {"lindblad.propagate", "lindblad.SectorPropagator",
+               "registers.entangled_state_analytic",
                "registers.entanglement_entropy"}
 
 

@@ -138,11 +138,15 @@ def test_model_rejects_nan_hamiltonian():
         LindbladModel(sz, ((math.nan * sm, 0.1),))
 
 
-def test_active_jumps_drops_zero_rates():
+def test_model_drops_zero_rate_jumps():
     sm, sz, _ = qubit_ops()
     m = LindbladModel(np.zeros((2, 2), dtype=complex),
                       ((sm, 0.0), (sz, 0.25)))
-    assert len(m.active_jumps()) == 1
+    assert len(m.jumps) == 1
+    assert np.array_equal(m.jumps[0][0], sz) and m.jumps[0][1] == 0.25
+    # a rate-0 jump is still validated before it is dropped
+    with pytest.raises(ValueError, match="non-finite"):
+        LindbladModel(sz, ((math.nan * sm, 0.0),))
 
 
 # ---------------------------------------------------------------------------

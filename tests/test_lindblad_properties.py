@@ -13,16 +13,22 @@ eigendecomposition must rebuild the row-major Kronecker block generator
 assembled directly from the sector slices of H and the jumps, and the
 sector pairs an operator reaches must match a scan of every pair.  For real H
 and jumps, the conjugated forward block eigendecomposition must reproduce
-the evolution of the reversed model (-H, same jumps).
+the evolution of the reversed model (-H, same jumps), and sector_echo
+must give the dense expm echo while diagonalizing only the folded
+Liouvillian components that rho0 and the readout both touch.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from becsim.lindblad import (LindbladModel, SectorPropagator, _exact_series,
-                             _rk_series, propagate)
+                             _rk_series, propagate, sector_echo)
 from test_lindblad import (assert_matches_full_matrix_oracle, dense_evolve,
-                           dense_series, sampled)
+                           dense_liouvillian, dense_series, sampled)
 
 
 def _random_block(rng, k, real=False):
@@ -127,7 +133,7 @@ def _kron_block_generator(model, bi, bj):
     h = model.hamiltonian
     gen = -1j * (np.kron(h[np.ix_(bi, bi)], eye_j)
                  - np.kron(eye_i, h[np.ix_(bj, bj)].T))
-    for op, rate in model.active_jumps():
+    for op, rate in model.jumps:
         li, lj = op[np.ix_(bi, bi)], op[np.ix_(bj, bj)]
         gen += rate * (np.kron(li, lj.conj())
                        - 0.5 * np.kron(li.conj().T @ li, eye_j)
@@ -180,3 +186,54 @@ def test_observable_blocks_match_brute_force_scan(case, seed, density):
             for j, bj in enumerate(prop.blocks)
             if np.any(sparse_obs[np.ix_(bj, bi)])]
     assert prop.observable_blocks(sparse_obs) == scan
+
+
+def _ladder_model(planted, rng):
+    """Diagonal H, a lowering chain inside each planted block and a
+    diagonal jump: each (block, block) slice splits into its diagonals
+    i - j = const, so the Liouvillian components are finer than the
+    sectors."""
+    d = sum(b.size for b in planted)
+    lower = np.zeros((d, d), dtype=complex)
+    for b in planted:
+        lower[b[:-1], b[1:]] = rng.uniform(0.5, 1.5, size=b.size - 1)
+    dephase = np.diag(rng.normal(size=d)).astype(complex)
+    return LindbladModel(np.diag(rng.normal(size=d)).astype(complex),
+                         ((lower, float(rng.uniform(0.05, 1.0))),
+                          (dephase, float(rng.uniform(0.05, 1.0)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models(real=True), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_sector_echo_matches_dense_echo(case, ladder, seed):
+    model, planted, rho0, obs, t = case
+    rng = np.random.default_rng(seed)
+    if ladder:
+        model = _ladder_model(planted, rng)
+    d = model.dim
+    # rho0 on a random nonempty subset of the planted blocks: the readout
+    # (dense) also touches components rho0 does not
+    keep = np.zeros(d, dtype=bool)
+    for k, b in enumerate(planted):
+        keep[b] = k == 0 or rng.random() < 0.5
+    rho0 = np.where(keep[:, None] & keep[None, :], rho0, 0)
+    rho0 /= np.trace(rho0)
+    times = np.array([t, 0.0, 0.5 * t])
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        got = sector_echo(model, rho0, obs, times)
+    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
+    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
+    for s, value in zip(times, got):
+        vec = expm(s * rev) @ (expm(s * fwd) @ rho0.reshape(-1, order="F"))
+        want = np.real(np.trace(obs @ vec.reshape(d, d, order="F")))
+        assert abs(value - want) < 1e-8
+
+    # the components, from the column-stacked dense generator: entry
+    # (i, j) sits at i + j d there
+    _, label = connected_components(fwd != 0, directed=False)
+    label = label.reshape(d, d, order="F")
+    if ladder and max(b.size for b in planted) > 1:
+        assert np.unique(label).size > len(planted) ** 2
+    both = set(label[rho0 != 0].tolist()) & set(label[obs.T != 0].tolist())
+    orbits = {frozenset((c, label.T[label == c][0])) & both for c in both}
+    assert eig.call_count == len(orbits)
