@@ -12,6 +12,13 @@ reversal_echo step them, and sector_echo diagonalizes them one by one.
 Adaptive DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
+
+The module loads on numpy alone.  Each scipy module is imported inside
+the first call that runs it (scipy.sparse and scipy.sparse.csgraph by
+the sparse Liouvillian and its component labels, scipy.sparse.linalg by
+expm_multiply, scipy.integrate by solve_ivp), so the pure-state commands
+never load scipy.  expm_multiply and solve_ivp are first-use wrappers
+defined here, where callers, tests and perfbench/tracing.py look them up.
 """
 
 from __future__ import annotations
@@ -20,9 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import CapacityError, IntegrationError
 # the occupation bases live with the Fock basis; perfbench/tracing.py
@@ -147,6 +151,7 @@ def _all_diagonal(model):
 
 def _liouvillian(model):
     """Sparse superoperator over the row-major vectorized density matrix."""
+    import scipy.sparse as sp
     d = model.dim
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(model.hamiltonian)
@@ -170,6 +175,7 @@ def _occupied(model, x):
     evolution of x needs only the sorted indices of the components x
     touches (labels: each flat index's component); all else stays 0.
     """
+    from scipy.sparse.csgraph import connected_components
     lv = _liouvillian(model)
     _, labels = connected_components(lv.astype(bool), directed=False)
     idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(x)]))
@@ -225,6 +231,8 @@ def _sample_rho(idx, vals, t_end, model, observables, meta):
     min_eig = np.full(n, np.nan)
     eig_at, blocks = set(), []
     if d <= MIN_EIG_DIM:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
         eig_at = set(np.linspace(0, n - 1, min(n, MIN_EIG_SAMPLES)).astype(int))
         _, label = connected_components(sp.csr_matrix(
             (np.ones(idx.size), (rows, cols)), shape=(d, d)), directed=False)
@@ -256,9 +264,15 @@ def _sample_rho(idx, vals, t_end, model, observables, meta):
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use to speed start-up."""
+    """scipy.integrate.solve_ivp, imported on the first call."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
+
+
+def expm_multiply(*args, **kwargs):
+    """scipy.sparse.linalg.expm_multiply, imported on the first call."""
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+    return scipy_expm_multiply(*args, **kwargs)
 
 
 def _rk_series(model, rho, t_end, samples):
@@ -427,6 +441,8 @@ class SectorPropagator:
     """
 
     def __init__(self, model):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
         # H and the jumps over the full basis
         self.operators = [model.hamiltonian] + [op for op, _ in model.jumps]
         support = np.zeros((model.dim, model.dim), dtype=bool)

@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def log_binomial(n: int, k) -> np.ndarray:
-    """log of the binomial coefficient C(n, k); stable for large n."""
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log of the binomial coefficient C(n, k), integer k in 0..n; stable
+    for large n."""
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    k = np.asarray(k)
+    return log_fact[n] - log_fact[k] - log_fact[n - k]
 
 
 def half_weights(n: int) -> np.ndarray:

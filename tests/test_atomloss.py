@@ -1,6 +1,7 @@
 """Population loss rate equations and lifetime summaries."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ def test_populations_monotone_non_increasing():
     assert np.all(np.diff(na) <= 1e-12)
     assert np.all(np.diff(nb) <= 1e-12)
     assert na[0] == pytest.approx(500.0)
+
+
+def test_huge_t_end_returns_promptly():
+    # N(t) <= N0 exp(-Gamma_l t) passes the solver's atol at ~338 s, so
+    # the integration stops there however far t_end lies
+    start = time.perf_counter()
+    times, na, nb = integrate_loss_odes(AtomLossParams(), 1e300, 201)
+    assert time.perf_counter() - start < 5.0
+    for pop in (na, nb):
+        assert np.all(np.isfinite(pop)) and np.all(pop >= 0)
+        assert np.all(np.diff(pop) <= 0)
+    assert na[0] == 500.0 and na[-1] == 0.0
+
+
+def test_cut_keeps_the_samples_before_it():
+    # the bound crosses atol at ln(5e14)/0.1 ~ 338 s
+    _, na, nb = integrate_loss_odes(AtomLossParams(), 1e3, 11)
+    _, na_short, nb_short = integrate_loss_odes(AtomLossParams(), 300.0, 4)
+    assert na[:4] == pytest.approx(na_short, rel=1e-8, abs=1e-12)
+    assert nb[:4] == pytest.approx(nb_short, rel=1e-8, abs=1e-12)
+    assert np.all(na[4:] == 0) and np.all(nb[4:] == 0)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -132,9 +132,22 @@ def test_lambda_model_refuses_before_enumerating(tmp_path, capsys,
 IMPORT_PROBE = """
 import sys
 from becsim.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+
+assert not scipy_modules(), scipy_modules()
+# the pure-state commands run on numpy alone
+for argv in (["deutsch", "--N", "2"], ["fig2a", "--N", "2", "--samples", "3"],
+             ["fig2b", "--N-max", "3"], ["schedule"]):
+    assert main(argv + ["--out", "out.csv"]) == 0
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert main(["fig4b", "--N-max", "1", "--samples", "3", "--out", "b.csv"]) == 0
+assert "scipy.sparse" in sys.modules
 deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-assert not [m for m in deferred if m in sys.modules]
-assert main(["fig2a", "--N", "2", "--samples", "3", "--out", "a.csv"]) == 0
 assert not [m for m in deferred if m in sys.modules]
 assert main(["rates", "--samples", "3", "--out", "r.csv"]) == 0
 assert "scipy.integrate" in sys.modules
@@ -143,7 +156,7 @@ assert "scipy.stats" not in sys.modules
 
 
 def test_cli_imports_only_what_runs(tmp_path):
-    # a fresh interpreter: this test process may already hold scipy.stats
+    # a fresh interpreter: this test process already holds scipy
     src = str(pathlib.Path(becsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

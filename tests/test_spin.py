@@ -35,12 +35,19 @@ def test_half_weights_match_exact_small_n():
         assert half_weights(n) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
+def test_half_weights_match_exact_through_fig2b_range():
+    # fig2b sweeps N up to 200; math.lgamma's log-factorials hold ~2e-13
+    for n in range(201):
+        exact = [math.sqrt(math.comb(n, k) / 2 ** n) for k in range(n + 1)]
+        assert half_weights(n) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 def test_half_weights_large_n_no_overflow():
     # C(5000, k) and 2^5000 overflow a double; their ratio does not
     n = 5000
     w = half_weights(n)
     assert w.shape == (n + 1,) and np.all(np.isfinite(w))
-    # gammaln(5001) ~ 3.8e4 is held to ~7e-12, its spacing, in log space
+    # log(5000!) ~ 3.8e4 is held to ~7e-12, its spacing, in log space
     assert np.sum(w ** 2) == pytest.approx(1.0, abs=1e-10)
     for k in (2300, 2500, 2501, 2700):
         exact = math.sqrt(math.comb(n, k) / 2 ** n)
