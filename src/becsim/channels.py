@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, NumericalIntegrityError
-from .lindblad import (LindbladModel, integrate_master, log_slope,
-                       reversal_echo, sector_echo, MAX_DENSITY_DIM)
+from .errors import NumericalIntegrityError
+from .lindblad import (LindbladModel, check_density_dim, integrate_master,
+                       log_slope, reversal_echo, sector_echo)
 # the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
 from .lindblad import oscillation_envelope_rate  # noqa: F401
-from .spin import (MultiModeBasis, OccupationBasis, enumerate_occupations,
-                   half_weights, kron_product, make_fock, spin_operator)
+from .spin import (OccupationBasis, enumerate_occupations, half_weights,
+                   kron_product, make_fock, spin_operator)
 
 AXIS_CONVENTIONS = ("caption", "paper-body")
 
@@ -34,13 +34,10 @@ def site_operator(m_sites, n_atoms, factors):
 
     factors maps site index (0-based) to an axis in {x, y, z}; omitted
     sites get the identity.  Site 0 varies slowest, matching the register
-    ordering used for pure states.  A product of side past MAX_DENSITY_DIM
-    is refused before it is formed.
+    ordering used for pure states.  A product past the density-matrix
+    ceiling is refused before it is formed.
     """
-    dim = (n_atoms + 1) ** m_sites
-    if dim > MAX_DENSITY_DIM:
-        raise CapacityError("%d-site operator dimension %d too large"
-                            % (m_sites, dim))
+    check_density_dim((n_atoms + 1) ** m_sites)
     return kron_product([spin_operator(factors.get(site, "I"), n_atoms)
                          for site in range(m_sites)])
 
@@ -106,8 +103,7 @@ def build_loss_model(m_sites, n_max, gamma_l):
     """
     basis = loss_basis(n_max)
     dim = basis.size ** m_sites
-    if dim > MAX_DENSITY_DIM:
-        raise CapacityError("loss model dimension %d too large" % dim)
+    check_density_dim(dim)
     jumps = []
     for site in range(m_sites):
         for mode in (0, 1):
@@ -127,10 +123,8 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
     into the occupied ground modes).
     """
     # the basis size, known before the basis is enumerated
-    size = (n_atoms + 1) * (n_atoms + 2) // 2
-    if size > MAX_DENSITY_DIM:
-        raise CapacityError("three-mode dimension %d too large" % size)
-    basis = MultiModeBasis(3, n_atoms)
+    check_density_dim((n_atoms + 1) * (n_atoms + 2) // 2)
+    basis = OccupationBasis(enumerate_occupations(3, n_atoms))
     ac = basis.transition(0, 2)
     bc = basis.transition(1, 2)
     h = delta * basis.number(2) + g * (ac + ac.conj().T) \
@@ -140,7 +134,7 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
 
 
 def lambda_observables(n_atoms):
-    basis = MultiModeBasis(3, n_atoms)
+    basis = OccupationBasis(enumerate_occupations(3, n_atoms))
     return {"sz": basis.spin("z"), "sx": basis.spin("x"),
             "nc": basis.number(2)}
 
@@ -160,7 +154,7 @@ def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
         t_end = (3.0 / expected if expected > 0
                  else 8.0 * math.pi * delta / g ** 2)
     model = build_lambda_model(n_atoms, g, delta, gamma_s)
-    basis = MultiModeBasis(3, n_atoms)
+    basis = OccupationBasis(enumerate_occupations(3, n_atoms))
     rho0 = np.zeros((basis.size,) * 2, dtype=complex)
     start = basis.index[(n_atoms, 0, 0)]
     rho0[start, start] = 1.0
@@ -317,8 +311,7 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         # end with, and capping at n_ph_max distorts them visibly
         exc_max = params.n_ph_max + 1
     basis = cavity_basis(params.n_atoms, params.n_ph_max, exc_max)
-    if basis.size > MAX_DENSITY_DIM:
-        raise CapacityError("cavity basis dimension %d too large" % basis.size)
+    check_density_dim(basis.size)
     g_g = params.cavity_g
     nc = basis.number(2) + basis.number(5)
     nph = basis.number(6)

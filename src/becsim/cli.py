@@ -137,6 +137,7 @@ def cmd_fig2a(params, out):
 
 def cmd_fig2b(params, out):
     """Entanglement at the short gate time pi/4N for N up to N_max."""
+    registers._joint_dim((params["N_max"],) * 2)   # refused before the sweep
     rows = []
     for n in range(1, params["N_max"] + 1):
         wt = math.pi / (4.0 * n)
@@ -284,6 +285,7 @@ def cmd_schedule(params, out):
     mapped = schedules.map_qubit_schedule(qubit_steps, n)
     sites = 1 + max((site for step in qubit_steps for term in step.terms
                      for site, _ in term.factors), default=0)
+    registers._joint_dim([n] * sites)   # before the site states are built
     reg = registers.tensor([registers.plus_x_state(n)] * sites)
     final = schedules.run_schedule(reg, mapped)
     rows = []

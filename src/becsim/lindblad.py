@@ -54,6 +54,16 @@ MIN_EIG_SAMPLES = 16
 ENVELOPE_TAIL = 0.3
 
 
+def check_density_dim(dim):
+    """CapacityError when a density matrix of side dim passes the ceiling.
+
+    Model builders call it with the side known before any matrix is formed.
+    """
+    if dim > MAX_DENSITY_DIM:
+        raise CapacityError("dimension %d exceeds density-matrix ceiling %d"
+                            % (dim, MAX_DENSITY_DIM))
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus (jump operator, rate) pairs, rate 0 ones dropped."""
@@ -65,11 +75,7 @@ class LindbladModel:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("hamiltonian must be square")
-        d = h.shape[0]
-        if d > MAX_DENSITY_DIM:
-            raise CapacityError(
-                "dimension %d exceeds density-matrix ceiling %d"
-                % (d, MAX_DENSITY_DIM))
+        check_density_dim(h.shape[0])
         jumps = []
         for op, rate in self.jumps:
             op = np.asarray(op, dtype=complex)
@@ -214,9 +220,11 @@ def _check_trace(drift, t, last_good):
 def _sample_rho(idx, vals, t_end, model, observables, meta):
     """Record of vals[k] = rho.flat[idx] at grid time k of [0, t_end].
 
-    idx is sorted and closed under transposition, and rho is 0 off idx.
-    rho is block diagonal over the connected blocks of the kept pattern:
-    min_eig takes one eigvalsh per block, and a 1x1 block is its diagonal.
+    idx is sorted and closed under transposition, and rho is 0 off idx,
+    so rho is block diagonal: a row with no kept entry is the eigenvalue
+    0, a kept diagonal entry alone in its row is an eigenvalue, and every
+    row holding an off-diagonal kept entry joins one block that min_eig
+    reads with one eigvalsh.
     """
     d, n = model.dim, len(vals)
     times = np.linspace(0.0, t_end, n)
@@ -229,34 +237,26 @@ def _sample_rho(idx, vals, t_end, model, observables, meta):
     trace_dev = np.empty(n)
     herm = np.empty(n)
     min_eig = np.full(n, np.nan)
-    eig_at, blocks = set(), []
+    eig_at = set()
     if d <= MIN_EIG_DIM:
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
         eig_at = set(np.linspace(0, n - 1, min(n, MIN_EIG_SAMPLES)).astype(int))
-        _, label = connected_components(sp.csr_matrix(
-            (np.ones(idx.size), (rows, cols)), shape=(d, d)), directed=False)
-        size = np.bincount(label)
-        # a 1x1 block is a kept diagonal entry, or an index nothing touches
-        lone = on_diag[size[label[rows[on_diag]]] == 1]
+        coupled = np.unique(rows[rows != cols])   # the one block's indices
+        sel = np.isin(rows, coupled)   # its entries; the rest are diagonal
+        lone = np.flatnonzero(~sel)
+        r, c = (np.searchsorted(coupled, x[sel]) for x in (rows, cols))
         floor = 0.0 if np.unique(rows).size < d else np.inf
-        local = np.zeros(d, dtype=int)      # each index's place in its block
-        for b in np.flatnonzero(size > 1):
-            local[label == b] = np.arange(size[b])
-            sel = np.flatnonzero(label[rows] == b)
-            blocks.append((size[b], local[rows[sel]], local[cols[sel]], sel))
     for i, v in enumerate(vals):
         trace_dev[i] = abs(v[on_diag].sum() - 1.0)
         _check_trace(trace_dev[i], times[i], times[i - 1] if i else 0.0)
         # norm(rho - rho^H, inf): the largest row sum of |rho - rho^H|
         herm[i] = np.bincount(rows, np.abs(v - v[flip].conj())).max()
         if i in eig_at:
-            low = [v[lone].real.min(initial=floor)]
-            for k, r, c, sel in blocks:
-                m = np.zeros((k, k), dtype=complex)
+            min_eig[i] = v[lone].real.min(initial=floor)
+            if coupled.size:
+                m = np.zeros((coupled.size,) * 2, dtype=complex)
                 m[r, c] = v[sel]
-                low.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-            min_eig[i] = min(low)
+                min_eig[i] = min(min_eig[i], np.linalg.eigvalsh(
+                    0.5 * (m + m.conj().T))[0])
         for name, o in ops.items():
             obs[name][i] = np.real(np.sum(o * v))
     return EvolutionRecord(times, obs, trace_dev, herm,
@@ -310,7 +310,7 @@ def integrate_master(model, rho0, t_end, samples, observables=None):
     diagonal models and above dimension 64 (exact on the blocks rho or
     rho^T occupies; a size-1 block is x exp(lambda t)), "rk" (adaptive
     DOP853, all d^2 entries kept) otherwise.  Diagnostics read only the
-    kept entries, min_eig with one eigvalsh per block of their pattern.
+    kept entries, min_eig with at most one eigvalsh (_sample_rho).
     """
     _check_times(t_end, "t_end")
     if samples < 2:

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalIntegrityError
-from .spin import CoherentParams, SpinState, half_weights, make_coherent
+from .spin import (CoherentParams, SpinState, half_weights, kron_product,
+                   make_coherent)
 
 MAX_AMPLITUDES = 10**7
 
@@ -122,16 +123,13 @@ def tensor(states: Sequence[SpinState]) -> BecRegister:
     if not states:
         raise ValueError("need at least one state")
     _joint_dim([s.n_atoms for s in states])
-    amps = states[0].amps
-    for s in states[1:]:
-        amps = np.kron(amps, s.amps)
-    return BecRegister(tuple(s.n_atoms for s in states), amps)
+    return BecRegister(tuple(s.n_atoms for s in states),
+                       kron_product([s.amps for s in states]))
 
 
 def plus_x_state(n_atoms: int) -> SpinState:
     """The (1/sqrt2, 1/sqrt2) coherent state, the Sx = N eigenstate."""
-    r = 1 / math.sqrt(2)
-    return make_coherent(CoherentParams(r, r, n_atoms))
+    return SpinState(n_atoms, half_weights(n_atoms))
 
 
 def apply_zz(reg: BecRegister, site_i: int, site_j: int, omega_t: float) -> BecRegister:

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .registers import BecRegister, partial_trace, plus_x_state, tensor
+from .registers import (BecRegister, _joint_dim, partial_trace,
+                        plus_x_state, tensor)
 from .spin import kron_product, make_fock, spin_operator
 
 MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
@@ -211,9 +212,8 @@ def run_deutsch(oracle: DeutschOracle) -> tuple[str, float]:
     probe.  Positive readout means constant, negative balanced.
     """
     n = oracle.n_atoms
-    start = tensor(
-        [plus_x_state(n), make_fock(n, n)]
-    )
+    _joint_dim((n, n))   # before the site states are built
+    start = tensor([plus_x_state(n), make_fock(n, n)])
     final = run_schedule(start, oracle.steps())
     rho1 = partial_trace(final, 0).entries
     readout = float(np.real(np.trace(spin_operator("x", n) @ rho1))) / n

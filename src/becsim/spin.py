@@ -7,9 +7,9 @@ diagonal with entries ``2k - N``.  The spin operators use the convention
 without the conventional factor of 1/2, so ``[Sx, Sy] = 2i Sz`` and
 ``Sx^2 + Sy^2 + Sz^2 = N(N+2)``.
 
-The bosonic occupation bases (``OccupationBasis``, ``MultiModeBasis``) live
-here too: their ladder operators build every spin, Hamiltonian and jump
-matrix of the package, as plain arrays.
+The bosonic occupation basis (``OccupationBasis``) lives here too: its
+ladder operators build every spin, Hamiltonian and jump matrix of the
+package, as plain arrays.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ def enumerate_occupations(mode_count, total_n):
     """All occupation tuples (n_1..n_modes) with sum n_i = total_n.
 
     Ordered with the first mode ascending slowest, matching the two-mode
-    Fock convention (bosons in the first mode, ascending).
+    Fock convention (bosons in the first mode, ascending).  There are
+    C(total_n + mode_count - 1, mode_count - 1); number-conserving
+    operators close exactly on their OccupationBasis.
     """
     if mode_count == 1:
         return [(total_n,)]
@@ -238,20 +240,6 @@ class OccupationBasis:
         raise ValueError(f"axis must be x, y or z; got {axis!r}")
 
 
-class MultiModeBasis(OccupationBasis):
-    """All distributions of a fixed boson number over several modes.
-
-    Size is C(total_n + mode_count - 1, mode_count - 1); for three modes
-    that is (N+1)(N+2)/2.  Number-conserving operators (transitions,
-    mode numbers) close exactly on this basis.
-    """
-
-    def __init__(self, mode_count, total_n):
-        if mode_count < 1 or total_n < 0:
-            raise ValueError("need mode_count >= 1 and total_n >= 0")
-        super().__init__(enumerate_occupations(mode_count, total_n))
-
-
 def spin_operator(axis: str, n_atoms: int) -> np.ndarray:
     """Collective spin operator Sx, Sy or Sz on the (N+1)-dim Fock basis.
 
@@ -261,7 +249,7 @@ def spin_operator(axis: str, n_atoms: int) -> np.ndarray:
         raise ValueError("n_atoms must be >= 1")
     if axis == "I":
         return np.eye(n_atoms + 1, dtype=complex)
-    return MultiModeBasis(2, n_atoms).spin(axis)
+    return OccupationBasis(enumerate_occupations(2, n_atoms)).spin(axis)
 
 
 def kron_product(mats, coeff: float = 1.0) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import becsim
-from becsim import channels
+from becsim import channels, registers, schedules
 from becsim.channels import AXIS_CONVENTIONS, build_lambda_model
 from becsim.cli import (COMMANDS, KEYS, _build_parser, main,
                         parse_config_file, resolve_params, write_csv)
@@ -120,13 +120,32 @@ def test_oversized_input_exits_2(argv, tmp_path, capsys, monkeypatch):
 def test_lambda_model_refuses_before_enumerating(tmp_path, capsys,
                                                  monkeypatch):
     def enumerate_nothing(*args):
-        raise AssertionError("MultiModeBasis built for an oversized N")
-    monkeypatch.setattr(channels, "MultiModeBasis", enumerate_nothing)
+        raise AssertionError("occupations enumerated for an oversized N")
+    monkeypatch.setattr(channels, "enumerate_occupations", enumerate_nothing)
     with pytest.raises(CapacityError):
         build_lambda_model(10**6, 1.0, 10.0, 0.1)
     monkeypatch.chdir(tmp_path)
     assert main(["fig4c", "--N", "100000"]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, builders", [
+    (["deutsch", "--N", "1000000"],
+     [(schedules, "plus_x_state"), (schedules, "make_fock")]),
+    (["schedule", "--N", "1000000"], [(registers, "plus_x_state")]),
+    (["fig2b", "--N-max", "3162"], [(registers, "entangler_reduced_state")]),
+], ids=["deutsch", "schedule", "fig2b"])
+def test_oversized_input_builds_no_state(argv, builders, tmp_path, capsys,
+                                         monkeypatch):
+    # the joint dimension (N + 1)^sites is checked before any site state
+    def build_nothing(*args):
+        raise AssertionError("a state built for an oversized N")
+    for module, name in builders:
+        monkeypatch.setattr(module, name, build_nothing)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 IMPORT_PROBE = """

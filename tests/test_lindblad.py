@@ -31,8 +31,7 @@ from becsim.lindblad import (
     propagate,
 )
 from becsim.registers import plus_x_state
-from becsim.spin import (MultiModeBasis, OccupationBasis,
-                         enumerate_occupations, make_fock)
+from becsim.spin import OccupationBasis, enumerate_occupations, make_fock
 
 
 def qubit_ops():
@@ -52,7 +51,7 @@ def test_enumerate_occupations_counts():
 
 
 def test_multimode_number_and_transition():
-    basis = MultiModeBasis(2, 3)
+    basis = OccupationBasis(enumerate_occupations(2, 3))
     na = basis.number(0)
     assert np.allclose(np.diag(na), [s[0] for s in basis.states])
     t = basis.transition(0, 1)          # a+ b
@@ -92,7 +91,8 @@ def _ladder_by_loop(basis, create, destroy):
 
 
 def test_ladder_matches_per_state_loop_bitwise():
-    bases = [MultiModeBasis(3, 4), loss_basis(4), cavity_basis(2, 3, 4),
+    bases = [OccupationBasis(enumerate_occupations(3, 4)), loss_basis(4),
+             cavity_basis(2, 3, 4),
              OccupationBasis(tuple((k,) for k in range(4)))]
     for basis in bases:
         modes = range(basis.mode_count)
@@ -385,7 +385,7 @@ def _dephasing_m2_n3():
 
 
 def _lambda_n2():
-    basis = MultiModeBasis(3, 2)
+    basis = OccupationBasis(enumerate_occupations(3, 2))
     rho0 = np.zeros((basis.size,) * 2, dtype=complex)
     rho0[basis.index[(2, 0, 0)], basis.index[(2, 0, 0)]] = 1.0
     return (build_lambda_model(2, 1.0, 10.0, 0.1), rho0,
@@ -441,6 +441,37 @@ def test_index_without_kept_entries_is_a_zero_eigenvalue():
     rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     record = integrate_master(model, rho0, 1.0, 5)
     np.testing.assert_array_equal(record.min_eig, 0.0)
+    assert_matches_full_matrix_oracle(
+        record, dense_series(lindblad._exact_series, model, rho0, 1.0, 5), {})
+
+
+def test_two_blocks_share_one_eigvalsh(monkeypatch):
+    # a diagonal model keeps rho's pattern: the blocks {0, 1} and {2, 3}
+    # are read by one eigvalsh of their union, and the negative eigenvalue
+    # 0.25 - 0.251 sits in the second
+    calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+    model = build_dephasing_model(1, 3, "z", 0.05)
+    rho0 = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.1
+    rho0[2, 3] = rho0[3, 2] = 0.251
+    record = integrate_master(model, rho0, 1.0, 5)
+    assert [op.shape for op in calls] == [(4, 4)] * 5
+    assert record.failed
+    assert record.min_eig[0] == pytest.approx(-1e-3, abs=1e-12)
+    assert_matches_full_matrix_oracle(
+        record, dense_series(lindblad._exact_series, model, rho0, 1.0, 5), {})
+
+
+def test_row_with_only_an_off_diagonal_entry_joins_the_block():
+    # (0, 1), (1, 0) and (1, 1) are kept but (0, 0) is 0: row 0 holds one
+    # kept entry, off the diagonal, and [[0, 0.5], [0.5, 0.5]] has the
+    # eigenvalue 0.25 - sqrt(0.3125) = -0.309
+    model = build_dephasing_model(1, 3, "z", 0.05)
+    rho0 = np.diag([0.0, 0.5, 0.25, 0.25]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.5
+    record = integrate_master(model, rho0, 1.0, 5)
+    assert record.min_eig[0] == pytest.approx(0.25 - math.sqrt(0.3125),
+                                              abs=1e-12)
     assert_matches_full_matrix_oracle(
         record, dense_series(lindblad._exact_series, model, rho0, 1.0, 5), {})
 
@@ -524,7 +555,7 @@ def test_to_csv_format(tmp_path):
 def test_sector_propagator_matches_dense():
     # two modes, fixed total: a diagonal H plus a dephasing jump keep
     # every Fock state its own sector
-    basis = MultiModeBasis(2, 3)
+    basis = OccupationBasis(enumerate_occupations(2, 3))
     h = 0.8 * basis.number(0).astype(complex)
     jump = (basis.number(0) - basis.number(1)).astype(complex)
     model = LindbladModel(h, ((jump, 0.1),))
@@ -540,7 +571,7 @@ def test_sector_propagator_matches_dense():
 
 
 def test_observable_blocks_band_structure():
-    basis = MultiModeBasis(2, 2)
+    basis = OccupationBasis(enumerate_occupations(2, 2))
     model = LindbladModel(basis.number(0).astype(complex))
     prop = SectorPropagator(model)
     hop = basis.transition(0, 1)
