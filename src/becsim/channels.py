@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalIntegrityError
-from .lindblad import (LindbladModel, check_density_dim, integrate_master,
-                       log_slope, reversal_echo, sector_echo)
+from .lindblad import (LindbladModel, check_density_dim, echo,
+                       integrate_master, log_slope)
 # the Fig. 4c envelope fit, read as channels.oscillation_envelope_rate
 from .lindblad import oscillation_envelope_rate  # noqa: F401
 from .spin import (OccupationBasis, enumerate_occupations, half_weights,
@@ -220,15 +220,15 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
 
     Error is 1 - <S^z1>/N (caption convention; its x<->z relabeling gives
     the same) after evolving under +H for t and -H for another t, with
-    dephasing on throughout; exact reversal at gamma = 0.  The echo runs
-    in the Heisenberg picture (lindblad.reversal_echo): the S^z jumps are
-    Hermitian, so the reversed leg is the forward generator acting on the
-    readout, and one Liouvillian serves every gate time.  Returns a list
-    of (n_atoms, t, error) in the order of gate_times.
+    dephasing on throughout; exact reversal at gamma = 0.  lindblad.echo
+    runs it: the gate and the S^z jumps are real and symmetric, so rho and
+    the readout step forward together under one Liouvillian that serves
+    every gate time.  Returns a list of (n_atoms, t, error) in the order
+    of gate_times.
     """
     model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2,
                                                   "caption")
-    signal = reversal_echo(model, rho0, readout, gate_times)
+    signal = echo(model, rho0, readout, gate_times)
     return [(n_atoms, float(t), 1.0 - float(s))
             for t, s in zip(gate_times, signal)]
 
@@ -362,12 +362,13 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
 
     Protocol mirrors the dephasing gate test: evolve forward for t,
     reverse the Hamiltonian for another t (photon decay stays on), and
-    read the error 1 - <S^x1>/N.  The echo diagonalizes each Liouvillian
-    component the readout reaches (lindblad.sector_echo), and gate times
-    must be finite and >= 0.  The fitted decoherence rate comes from the
-    log-slope of the surviving polarization (lindblad.log_slope; NaN below
-    3 points): under an effective S^z-jump dephasing at rate Gamma acting
-    for the doubled duration 2t, the signal is exp(-4 Gamma t).
+    read the error 1 - <S^x1>/N.  The photon jump is not symmetric, so
+    lindblad.echo diagonalizes each Liouvillian component the readout
+    reaches, and gate times must be finite and >= 0.  The fitted
+    decoherence rate comes from the log-slope of the surviving
+    polarization (lindblad.log_slope; NaN below 3 points): under an
+    effective S^z-jump dephasing at rate Gamma acting for the doubled
+    duration 2t, the signal is exp(-4 Gamma t).
     """
     omega2_eff = g_laser ** 2 * cavity_g ** 2 / (4.0 * delta ** 3)
     gate_time = math.pi / (4.0 * n_atoms * omega2_eff)
@@ -380,7 +381,7 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
         model, basis = build_cavity_model(params, g_laser)
         psi = cavity_initial_state(basis, n_atoms)
         sx1 = cavity_sx1(basis) / n_atoms
-        return 1.0 - sector_echo(model, psi, sx1, gate_times)
+        return 1.0 - echo(model, psi, sx1, gate_times)
 
     errs = errors_at(n_ph_max)
     if convergence_check:

@@ -7,8 +7,8 @@ the integrator propagates the density matrix
 
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
 uses the one sparse Liouvillian `_liouvillian` builds, restricted to the
-connected components rho occupies (`_occupied`): the grid evaluator and
-reversal_echo step them, and sector_echo diagonalizes them one by one.
+connected components rho occupies (`_occupied`): the grid evaluator
+steps them, and echo steps or diagonalizes each by its symmetry.
 Adaptive DOP853 integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
@@ -344,81 +344,72 @@ def _check_times(times, name="gate times"):
     return times
 
 
-def reversal_echo(model, rho0, readout, times):
+def echo(model, rho0, readout, times):
     """Tr(readout rho) after running the model for t, then for t with -H.
 
-    Evaluated in the Heisenberg picture.  H is Hermitian, and when every
-    active jump is too (else ValueError), the reversed model's (-H, same
-    jumps) Liouvillian is the conjugate transpose of the forward one, L_f,
-    so
+    H and the jumps must be real and the readout Hermitian (else
+    ValueError), so the reversed model's (-H, same jumps) generator is
+    conj(L), L the forward one, and
 
-        Tr(O e^{L_r t} e^{L_f t} rho0) = <e^{L_f t} O, e^{L_f t} rho0>,
+        echo(t) = sum_i (e^{L^H t} o)_i (e^{L t} x)_i
 
-    and both legs run forward under one generator, restricted to the
-    components rho0 occupies (_occupied).  The pair [vec rho0, vec O] is
-    stepped between the sorted times with expm_multiply (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488, 2011), and the trace of the
-    forward rho is checked at every time, as _sample_rho does.  Returns
-    the real signal at each time, in the order given.  Fast on short
-    times (the dephasing gate); past many fast periods (the cavity bus)
-    expm_multiply takes very many steps, and sector_echo is faster.
-    """
-    if any(not np.array_equal(op, op.conj().T) for op, _ in model.jumps):
-        raise ValueError("the Heisenberg-picture echo needs Hermitian jumps")
-    times = _check_times(times)
-    d = model.dim
-    rho = _as_matrix(rho0, d)
-    gen, idx, _ = _occupied(model, rho.reshape(-1))
-    o = np.asarray(readout, dtype=complex).reshape(-1)
-    y = np.stack([rho.reshape(-1)[idx], o[idx]], axis=1)
-    # flat index i*d + j is a multiple of d + 1 exactly when i == j
-    diag = np.flatnonzero(idx % (d + 1) == 0)
-    vals = np.empty(times.size)
-    last = 0.0
-    for k in np.argsort(times, kind="stable"):
-        y = expm_multiply(gen * (times[k] - last), y)
-        _check_trace(abs(y[diag, 0].sum() - 1.0), times[k], last)
-        vals[k] = np.real(np.vdot(y[:, 1], y[:, 0]))
-        last = float(times[k])
-    return vals
-
-
-def sector_echo(model, rho0, readout, times):
-    """reversal_echo's signal, from one eig per Liouvillian component.
-
-    For real H and jumps (else ValueError) the reversed model's (-H, same
-    jumps) generator is the conjugate of the forward one, so a component's
-    (w, V, V^-1) evolves x to all times at once, and back as
-    conj(V exp(w t) V^-1 conj(x)).  Only components (_occupied) that rho0
-    and the readout both touch run, one at a time, and the component of
-    the transposed entries folds into 2 Re of the contribution.  One eig
-    serves any time (the cavity bus); on a few large components at short
-    times (the dephasing gate) it costs more than reversal_echo.
+    for x = vec rho0 and o pairing rho[i, j] with readout[j, i].  Each
+    Liouvillian component L_b (_occupied) that rho0 and the readout both
+    touch runs on one of two kernels.  When L_b^T = L_b exactly (the
+    dephasing gate), [x, conj(o)] steps forward under L_b between the
+    sorted times with expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488, 2011); the stepped part keeps its own trace, checked
+    at every time.  Otherwise (the cavity bus) one eig, (w, V, V^-1),
+    evolves x to all times at once and back as conj(V exp(w t) V^-1
+    conj(x)), and the component of the transposed entries folds into
+    2 Re of the contribution, as the readout is Hermitian.  Returns the
+    real signal at each time, in the order given.
     """
     times = _check_times(times)
     if any(np.any(m.imag) for m in [model.hamiltonian] + [
             op for op, _ in model.jumps]):
-        raise ValueError("the reversed echo needs a real H and real jumps")
+        raise ValueError("the echo needs a real H and real jumps")
+    readout = np.asarray(readout, dtype=complex)
+    if not np.array_equal(readout, readout.conj().T):
+        raise ValueError("the echo needs a Hermitian readout")
     d = model.dim
     rho = _as_matrix(rho0, d).reshape(-1)
     gen, idx, labels = _occupied(model, rho)
-    # Tr(O rho) pairs rho[i, j] with O[j, i]
-    o = np.asarray(readout, dtype=complex).T.reshape(-1)[idx]
+    o = readout.T.reshape(-1)[idx]
     own, flip = labels[idx], labels.reshape(d, d).T.reshape(-1)[idx]
     reached = set(own[o != 0].tolist())
     vals = np.zeros(times.size)
+    stepped = np.zeros(idx.size, dtype=bool)
+    diagonalized = set()
     for c in sorted(reached):
         pos = np.flatnonzero(own == c)
         mate = flip[pos[0]]     # the component of the transposed entries
-        if mate < c and mate in reached:
+        if mate in diagonalized:
             continue
-        w, v = np.linalg.eig(gen[pos][:, pos].toarray())
+        block = gen[pos][:, pos]
+        if (block != block.T).nnz == 0:
+            stepped[pos] = True
+            continue
+        diagonalized.add(c)
+        w, v = np.linalg.eig(block.toarray())
         vinv = np.linalg.inv(v)
         grow = np.exp(np.outer(w, times))
         xt = v @ (grow * (vinv @ rho[idx[pos]])[:, None])
         yt = np.conj(v @ (grow * (vinv @ np.conj(xt))))
-        fold = 2.0 if mate != c and mate in reached else 1.0
+        fold = 2.0 if mate > c and mate in reached else 1.0
         vals += fold * np.real(o[pos] @ yt)
+    if stepped.any():
+        # flat index i*d + j is a multiple of d + 1 exactly when i == j
+        diag = np.flatnonzero(idx[stepped] % (d + 1) == 0)
+        y = np.stack([rho[idx[stepped]], np.conj(o[stepped])], axis=1)
+        trace0 = y[diag, 0].sum()
+        gen = gen[stepped][:, stepped]
+        last = 0.0
+        for k in np.argsort(times, kind="stable"):
+            y = expm_multiply(gen * (times[k] - last), y)
+            _check_trace(abs(y[diag, 0].sum() - trace0), times[k], last)
+            vals[k] += np.real(np.vdot(y[:, 1], y[:, 0]))
+            last = float(times[k])
     return vals
 
 

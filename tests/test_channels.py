@@ -30,14 +30,14 @@ from becsim.channels import (
     run_fig4d,
     site_operator,
 )
+from becsim.cli import main
 from becsim.errors import IntegrationError
 from becsim.lindblad import (
     LindbladModel,
     SectorPropagator,
+    echo,
     fit_decay_rate,
     integrate_master,
-    reversal_echo,
-    sector_echo,
 )
 from becsim.registers import plus_x_state
 from becsim.spin import spin_operator
@@ -188,20 +188,71 @@ def test_fig4b_unsorted_times_match_single_calls():
 
 
 def test_reversal_echo_rejects_bad_input():
+    # the gate-reversal echo refuses bad times before any propagation
     model, rho0, readout, _ = _gate_configuration(1, 0.01, 1.0, "caption")
-    lowering = np.array([[0, 1, 0, 0], [0, 0, 0, 0],
-                         [0, 0, 0, 1], [0, 0, 0, 0]], dtype=complex)
-    lossy = LindbladModel(model.hamiltonian, ((lowering, 0.1),))
-    with pytest.raises(ValueError, match="Hermitian jumps"):
-        reversal_echo(lossy, rho0, readout, (0.5,))
+    for bad in ((0.5, -0.1), (math.nan,)):
+        with pytest.raises(ValueError,
+                           match="gate times must be finite and >= 0"):
+            echo(model, rho0, readout, bad)
     with pytest.raises(ValueError,
                        match="gate times must be finite and >= 0"):
         run_fig4b(1, gate_times=(0.5, -0.1))
+    assert echo(model, rho0, readout, ()).shape == (0,)
+
+
+def test_sector_echo_rejects_complex_operators():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    readout = np.diag([1.0, -1.0])
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    for model in (LindbladModel(h, ((1j * flip, 0.3),)),
+                  LindbladModel(h + 0.2 * sigma_y, ((flip, 0.3),))):
+        with pytest.raises(ValueError, match="real H and real jumps"):
+            echo(model, rho0, readout, [1.0])
+    # the same model with a real jump runs
+    real = LindbladModel(h, ((flip, 0.3),))
+    assert echo(real, rho0, readout, [1.0]).shape == (1,)
+
+
+def test_echo_rejects_a_non_hermitian_readout():
+    # the eig kernel folds the transposed partner into 2 Re, which holds
+    # only for a Hermitian readout: this one read 0.4094 there against the
+    # dense echo's 0.6140 at t = 5
+    h = np.diag([0.0, 1.0]).astype(complex)
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    readout = np.array([[0.0, 1.0], [0.5, 0.0]])
+    lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for jump in (np.diag([1.0, -1.0]).astype(complex), lowering):
+        model = LindbladModel(h, ((jump, 0.01),))
+        with pytest.raises(ValueError, match="Hermitian readout"):
+            echo(model, rho0, readout, [0.1, 5.0])
+
+
+def test_echo_runs_a_real_lowering_jump_on_eig(monkeypatch):
+    # L^T != L: no longer refused, but diagonalized, not stepped
+    model, rho0, readout, _ = _gate_configuration(1, 0.01, 1.0, "caption")
+    lowering = np.array([[0, 1, 0, 0], [0, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, 0, 0]], dtype=complex)
+    lossy = LindbladModel(model.hamiltonian, model.jumps + ((lowering, 0.1),))
+    stepped = []
+    step = lindblad.expm_multiply
+    monkeypatch.setattr(lindblad, "expm_multiply",
+                        lambda *args: stepped.append(args) or step(*args))
+    times = np.array([0.5, 0.1])
+    got = echo(lossy, rho0, readout, times)
+    assert not stepped
+    fwd = dense_liouvillian(lossy.hamiltonian, lossy.jumps)
+    rev = dense_liouvillian(-lossy.hamiltonian, lossy.jumps)
+    for t, value in zip(times, got):
+        vec = expm(t * rev) @ expm(t * fwd) @ rho0.reshape(-1, order="F")
+        want = np.real(np.trace(readout @ vec.reshape(4, 4, order="F")))
+        assert abs(value - want) < 1e-8
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_echo_protocols_reject_bad_gate_times(bad):
-    # both echoes share one check, before any propagation
+    # both protocols reach echo's check before any propagation
     with pytest.raises(ValueError,
                        match=r"^gate times must be finite and >= 0$"):
         run_fig4b(2, gate_times=[bad, 0.5])
@@ -220,6 +271,15 @@ def test_fig4b_stops_on_trace_drift(monkeypatch):
                        ) as info:
         run_fig4b(2, gate_times=(0.5, 1e-4))
     assert info.value.last_good_time == 1e-4
+
+
+def test_fig4b_defaults_never_diagonalize(monkeypatch, tmp_path):
+    # every default gate time steps; eig on them is about 6x slower
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a) or eig(a))
+    assert main(["fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+    assert not calls
 
 
 def test_fig4a_axis_conventions_agree():
@@ -312,7 +372,7 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
     rho0 = np.outer(psi, psi.conj())
     sx1 = cavity_sx1(basis) / n_atoms
     dt, steps = 4.0, (1, 15)
-    got = sector_echo(model, rho0, sx1, dt * np.array(steps))
+    got = echo(model, rho0, sx1, dt * np.array(steps))
     fwd = expm(dt * dense_liouvillian(model.hamiltonian, model.jumps))
     rev = expm(dt * dense_liouvillian(-model.hamiltonian, model.jumps))
     d = model.dim
@@ -365,19 +425,17 @@ def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
     assert len(calls) == len(folded)
 
 
-def test_sector_echo_rejects_complex_operators():
-    h = np.diag([0.0, 1.0]).astype(complex)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    readout = np.diag([1.0, -1.0])
-    rho0 = np.full((2, 2), 0.5, dtype=complex)
-    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
-    for model in (LindbladModel(h, ((1j * flip, 0.3),)),
-                  LindbladModel(h + 0.2 * sigma_y, ((flip, 0.3),))):
-        with pytest.raises(ValueError, match="real"):
-            sector_echo(model, rho0, readout, [1.0])
-    # the same model with a real jump runs
-    real = LindbladModel(h, ((flip, 0.3),))
-    assert sector_echo(real, rho0, readout, [1.0]).shape == (1,)
+def test_fig4d_never_steps(monkeypatch):
+    # the photon jump is not symmetric; stepping to the bus gate times
+    # would be about 1,000x slower than one eig per component
+    calls = []
+    step = lindblad.expm_multiply
+    monkeypatch.setattr(lindblad, "expm_multiply",
+                        lambda *args: calls.append(args) or step(*args))
+    for n_atoms in (1, 2):
+        # the cutoff check runs n_ph_max 4 too
+        run_fig4d(n_atoms, n_ph_max=3)
+    assert not calls
 
 
 def test_fig4d_small_system_runs():

@@ -13,9 +13,10 @@ eigendecomposition must rebuild the row-major Kronecker block generator
 assembled directly from the sector slices of H and the jumps, and the
 sector pairs an operator reaches must match a scan of every pair.  For real H
 and jumps, the conjugated forward block eigendecomposition must reproduce
-the evolution of the reversed model (-H, same jumps), and sector_echo
-must give the dense expm echo while diagonalizing only the folded
-Liouvillian components that rho0 and the readout both touch.
+the evolution of the reversed model (-H, same jumps), and echo must give
+the dense expm echo on the kernel its rule picks: it steps the symmetric
+components, and diagonalizes every other folded Liouvillian component
+that rho0 and the readout both touch.
 """
 
 from unittest import mock
@@ -25,8 +26,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
+from becsim import lindblad
 from becsim.lindblad import (LindbladModel, SectorPropagator, _exact_series,
-                             _rk_series, propagate, sector_echo)
+                             _rk_series, echo, propagate)
 from test_lindblad import (assert_matches_full_matrix_oracle, dense_evolve,
                            dense_liouvillian, dense_series, sampled)
 
@@ -204,13 +206,23 @@ def _ladder_model(planted, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(planted_models(real=True), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_sector_echo_matches_dense_echo(case, ladder, seed):
+@given(planted_models(real=True),
+       st.sampled_from(["symmetric", "drawn", "ladder"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_echo_matches_dense_echo(case, kind, seed):
+    """kind "symmetric": symmetric jumps, so every component steps;
+    "ladder": lowering jumps, so every component larger than one entry is
+    diagonalized; "drawn": the planted jumps."""
     model, planted, rho0, obs, t = case
     rng = np.random.default_rng(seed)
-    if ladder:
+    if kind == "ladder":
         model = _ladder_model(planted, rng)
+    if kind == "symmetric":
+        model = LindbladModel(model.hamiltonian, tuple(
+            (0.5 * (op + op.T), rate) for op, rate in model.jumps))
     d = model.dim
+    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
+    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
     # rho0 on a random nonempty subset of the planted blocks: the readout
     # (dense) also touches components rho0 does not
     keep = np.zeros(d, dtype=bool)
@@ -219,10 +231,10 @@ def test_sector_echo_matches_dense_echo(case, ladder, seed):
     rho0 = np.where(keep[:, None] & keep[None, :], rho0, 0)
     rho0 /= np.trace(rho0)
     times = np.array([t, 0.0, 0.5 * t])
-    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
-        got = sector_echo(model, rho0, obs, times)
-    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
-    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+            mock.patch.object(lindblad, "expm_multiply",
+                              wraps=lindblad.expm_multiply) as stepper:
+        got = echo(model, rho0, obs, times)
     for s, value in zip(times, got):
         vec = expm(s * rev) @ (expm(s * fwd) @ rho0.reshape(-1, order="F"))
         want = np.real(np.trace(obs @ vec.reshape(d, d, order="F")))
@@ -232,8 +244,19 @@ def test_sector_echo_matches_dense_echo(case, ladder, seed):
     # (i, j) sits at i + j d there
     _, label = connected_components(fwd != 0, directed=False)
     label = label.reshape(d, d, order="F")
-    if ladder and max(b.size for b in planted) > 1:
+    if kind == "ladder" and max(b.size for b in planted) > 1:
         assert np.unique(label).size > len(planted) ** 2
     both = set(label[rho0 != 0].tolist()) & set(label[obs.T != 0].tolist())
     orbits = {frozenset((c, label.T[label == c][0])) & both for c in both}
-    assert eig.call_count == len(orbits)
+    # the kernel rule on each orbit's first component
+    stepped = []
+    for orbit in orbits:
+        e = np.flatnonzero(label.reshape(-1, order="F") == min(orbit))
+        block = fwd[np.ix_(e, e)]
+        stepped.append(np.array_equal(block, block.T))
+        if kind == "symmetric":
+            assert stepped[-1]
+        if kind == "ladder" and e.size > 1:
+            assert not stepped[-1]
+    assert eig.call_count == stepped.count(False)
+    assert stepper.call_count == (times.size if any(stepped) else 0)
