@@ -120,7 +120,7 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
 
     Spontaneous emission from the excited mode c back into a and b enters
     as jumps a+c and b+c at rate gamma_s each (bosonically enhanced decay
-    into the occupied ground modes).
+    into the occupied ground modes).  Returns (model, basis).
     """
     # the basis size, known before the basis is enumerated
     check_density_dim((n_atoms + 1) * (n_atoms + 2) // 2)
@@ -130,11 +130,10 @@ def build_lambda_model(n_atoms, g, delta, gamma_s):
     h = delta * basis.number(2) + g * (ac + ac.conj().T) \
         + g * (bc + bc.conj().T)
     jumps = ((ac, gamma_s), (bc, gamma_s))
-    return LindbladModel(h, jumps)
+    return LindbladModel(h, jumps), basis
 
 
-def lambda_observables(n_atoms):
-    basis = OccupationBasis(enumerate_occupations(3, n_atoms))
+def lambda_observables(basis):
     return {"sz": basis.spin("z"), "sx": basis.spin("x"),
             "nc": basis.number(2)}
 
@@ -153,12 +152,11 @@ def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
         # a few decay times, or a few Rabi periods when nothing decays
         t_end = (3.0 / expected if expected > 0
                  else 8.0 * math.pi * delta / g ** 2)
-    model = build_lambda_model(n_atoms, g, delta, gamma_s)
-    basis = OccupationBasis(enumerate_occupations(3, n_atoms))
+    model, basis = build_lambda_model(n_atoms, g, delta, gamma_s)
     rho0 = np.zeros((basis.size,) * 2, dtype=complex)
     start = basis.index[(n_atoms, 0, 0)]
     rho0[start, start] = 1.0
-    obs = lambda_observables(n_atoms)
+    obs = lambda_observables(basis)
     rec = integrate_master(model, rho0, t_end, samples,
                            observables={"sz_over_n": obs["sz"] / n_atoms,
                                         "nc": obs["nc"]})
@@ -223,50 +221,21 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
     dephasing on throughout; exact reversal at gamma = 0.  lindblad.echo
     runs it: the gate and the S^z jumps are real and symmetric, so rho and
     the readout step forward together under one Liouvillian that serves
-    every gate time.  Returns a list of (n_atoms, t, error) in the order
-    of gate_times.
+    every gate time.  Returns the errors in the order of gate_times.
     """
     model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2,
                                                   "caption")
-    signal = echo(model, rho0, readout, gate_times)
-    return [(n_atoms, float(t), 1.0 - float(s))
-            for t, s in zip(gate_times, signal)]
+    return 1.0 - echo(model, rho0, readout, gate_times)
 
 
 # ---------------------------------------------------------------------------
 # cavity bus with photon decay
 
-@dataclass(frozen=True)
-class CavityModel:
-    """Two three-mode BECs coupled through one cavity photon mode.
-
-    detuning is Delta, the b<->c transition frequency minus the cavity
-    frequency.  cavity_g is the atom-photon coupling (the G of the bus
-    Hamiltonian) and gamma_c the photon decay rate.
-    """
-
-    n_atoms: int
-    detuning: float
-    cavity_g: float
-    gamma_c: float
-    n_ph_max: int = 2
-
-    def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError("need at least one boson per BEC")
-        if self.n_ph_max < 1:
-            raise ValueError("need at least one photon level")
-        if self.gamma_c < 0:
-            raise ValueError("gamma_c must be >= 0")
-        if self.detuning == 0:
-            raise ValueError("detuning must be nonzero")
-
-
 def cavity_basis(n_atoms, n_ph_max, exc_max):
     """Occupations (a1,b1,c1,a2,b2,c2,ph), fixed N per BEC.
 
     exc_max truncates the total excitation c1+c2+ph.  The
-    bus is not purely dispersive at the build_cavity_model defaults:
+    bus is not purely dispersive at the run_fig4d defaults:
     states with one c boson and one photon have bare energy
     +Delta - Delta = 0, degenerate with the (a, b) ground manifold, so
     their amplitudes are not perturbatively small and exc_max changes
@@ -278,15 +247,18 @@ def cavity_basis(n_atoms, n_ph_max, exc_max):
                             if s1[2] + s2[2] + ph <= exc_max])
 
 
-def build_cavity_model(params, g_laser, exc_max="auto"):
+def build_cavity_model(n_atoms, delta, cavity_g, gamma_c, g_laser, n_ph_max,
+                       exc_max):
     """Bus Hamiltonian in the frame where the photon carries -Delta.
 
     H = Delta(c1+c1 + c2+c2) - Delta p+p
         + g_laser[(b1+c1 + h.c.) - (b2+c2 + h.c.)]
         + G[(b+c p+ + c+b p) on each site],
-    with photon jump p at rate gamma_c.  The laser phases on the two
-    sites are opposite; this sign choice (together with the photon
-    frame) reproduces the effective two-site interaction
+    with photon jump p at rate gamma_c, over cavity_basis(n_atoms,
+    n_ph_max, exc_max).  delta is Delta, the b<->c transition frequency
+    minus the cavity frequency, and cavity_g is G.  The laser phases on
+    the two sites are opposite; this sign choice (together with the
+    photon frame) reproduces the effective two-site interaction
     -(G^2 g^2 / 4 Delta^3)(2 S^z1 S^z2 - (S^z1)^2 - (S^z2)^2)
     in the large-detuning limit, which calibrates the otherwise free
     drive convention.  Deterministic single-site light shifts (linear
@@ -301,18 +273,11 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
     n_c reaches ~0.10 at gamma_c = 1, against 0.006-0.009 with those
     states removed (exc_max=1).  Echo errors of this model are
     dominated by that leakage rather than by the adiabatic-elimination
-    dephasing g^2 G^2 gamma_c / (4 Delta^4); the default exc_max keeps
-    these states.  Returns (model, basis).
+    dephasing g^2 G^2 gamma_c / (4 Delta^4); run_fig4d's exc_max,
+    n_ph_max + 1, keeps these states.  Returns (model, basis).
     """
-    delta = params.detuning
-    if exc_max == "auto":
-        # one level above the photon cutoff: the fourth-order self-term
-        # paths pass through states with one more excitation than they
-        # end with, and capping at n_ph_max distorts them visibly
-        exc_max = params.n_ph_max + 1
-    basis = cavity_basis(params.n_atoms, params.n_ph_max, exc_max)
+    basis = cavity_basis(n_atoms, n_ph_max, exc_max)
     check_density_dim(basis.size)
-    g_g = params.cavity_g
     nc = basis.number(2) + basis.number(5)
     nph = basis.number(6)
     h = delta * nc - delta * nph
@@ -321,20 +286,17 @@ def build_cavity_model(params, g_laser, exc_max="auto"):
         h = h + drive_sign * g_laser * (bc + bc.conj().T)
         # G (b+ c p+ + c+ b p): photon emitted as the atom drops c -> b
         bcp = basis.ladder((b_mode, 6), (c_mode,))
-        h = h + g_g * (bcp + bcp.conj().T)
-    return LindbladModel(h, ((basis.lower(6), params.gamma_c),)), basis
+        h = h + cavity_g * (bcp + bcp.conj().T)
+    return LindbladModel(h, ((basis.lower(6), gamma_c),)), basis
 
 
 def cavity_initial_state(basis, n_atoms):
     """Both BECs polarized along +x in (a, b), no c bosons, no photon."""
     amp = half_weights(n_atoms)
+    ks = range(n_atoms + 1)
     vec = np.zeros(basis.size, dtype=complex)
-    for k1 in range(n_atoms + 1):
-        for k2 in range(n_atoms + 1):
-            idx = basis.index.get(
-                (k1, n_atoms - k1, 0, k2, n_atoms - k2, 0, 0))
-            if idx is not None:
-                vec[idx] = amp[k1] * amp[k2]
+    vec[[basis.index[(k1, n_atoms - k1, 0, k2, n_atoms - k2, 0, 0)]
+         for k1 in ks for k2 in ks]] = np.outer(amp, amp).ravel()
     return vec
 
 
@@ -357,7 +319,7 @@ class BusGateResult:
 
 
 def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
-              n_ph_max=2, gate_times=None, convergence_check=True):
+              n_ph_max=3, gate_times=None, convergence_check=True):
     """Bus gate error versus gate time under cavity photon decay.
 
     Protocol mirrors the dephasing gate test: evolve forward for t,
@@ -370,6 +332,15 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     effective S^z-jump dephasing at rate Gamma acting for the doubled
     duration 2t, the signal is exp(-4 Gamma t).
     """
+    # checked before the gate time is derived from them
+    if n_atoms < 1:
+        raise ValueError("need at least one boson per BEC")
+    if n_ph_max < 1:
+        raise ValueError("need at least one photon level")
+    if delta == 0:
+        raise ValueError("detuning must be nonzero")
+    if g_laser * cavity_g == 0:
+        raise ValueError("g_laser and cavity_g must be nonzero")
     omega2_eff = g_laser ** 2 * cavity_g ** 2 / (4.0 * delta ** 3)
     gate_time = math.pi / (4.0 * n_atoms * omega2_eff)
     if gate_times is None:
@@ -377,19 +348,22 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     gate_times = np.asarray(gate_times, dtype=float)
 
     def errors_at(ph_max):
-        params = CavityModel(n_atoms, delta, cavity_g, gamma_c, ph_max)
-        model, basis = build_cavity_model(params, g_laser)
+        # exc_max one level above the photon cutoff: the fourth-order
+        # self-term paths pass through states with one more excitation
+        # than they end with, and capping at ph_max distorts them visibly
+        model, basis = build_cavity_model(n_atoms, delta, cavity_g, gamma_c,
+                                          g_laser, ph_max, ph_max + 1)
         psi = cavity_initial_state(basis, n_atoms)
         sx1 = cavity_sx1(basis) / n_atoms
         return 1.0 - echo(model, psi, sx1, gate_times)
 
     errs = errors_at(n_ph_max)
     if convergence_check:
-        errs_hi = errors_at(n_ph_max + 1)
-        if np.max(np.abs(errs_hi - errs)) >= 1e-4:
+        moved = float(np.max(np.abs(errors_at(n_ph_max + 1) - errs)))
+        if moved >= 1e-4:
             raise NumericalIntegrityError(
                 "photon cutoff %d not converged: observables move by %.3e"
-                % (n_ph_max, float(np.max(np.abs(errs_hi - errs)))))
+                % (n_ph_max, moved))
 
     slope = log_slope(gate_times, 1.0 - errs)
     fitted = math.nan if slope is None else max(0.0, -slope / 4.0)

@@ -180,14 +180,11 @@ def cmd_fig4b(params, out):
     for n in range(1, params["N_max"] + 1):
         short = math.pi / (4.0 * n) / omega
         times = np.linspace(0.0, math.pi / 4.0, params["samples"])[1:] / omega
-        times = np.append(times, short)
-        for _, t, err in channels.run_fig4b(n, gamma=params["gamma"],
-                                            omega2=params["omega"],
-                                            gate_times=sorted(times)):
-            rows.append((n, t, err))
-            if t == short:
-                short_error = err
-        short_errors.append(short_error)
+        times = np.sort(np.append(times, short))
+        errors = channels.run_fig4b(n, gamma=params["gamma"],
+                                    omega2=params["omega"], gate_times=times)
+        rows += [(n, t, err) for t, err in zip(times, errors)]
+        short_errors.append(errors[times == short][-1])
     write_csv(out, ["N", "t", "error"], rows)
     print("fig4b: errors at t=pi/4N:",
           " ".join("%.5f" % e for e in short_errors))
@@ -219,7 +216,7 @@ def cmd_fig4d(params, out):
     fitted = []
     for n in range(1, params["N_max"] + 1):
         res = channels.run_fig4d(n, gamma_c=params["gamma"],
-                                 n_ph_max=3, convergence_check=(n <= 2))
+                                 convergence_check=(n <= 2))
         for t, e in zip(res.times, res.errors):
             rows.append((n, t, e))
         gate_errors.append(res.errors[-1])

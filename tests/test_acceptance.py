@@ -249,9 +249,9 @@ def test_criterion_06_decay_law_family():
 
 def test_criterion_07_gate_error_trends():
     t0 = time.monotonic()
-    short = [run_fig4b(n, gamma=0.01, gate_times=(math.pi / (4 * n),))[0][2]
+    short = [run_fig4b(n, gamma=0.01, gate_times=(math.pi / (4 * n),))[0]
              for n in range(1, 9)]
-    fixed = [run_fig4b(n, gamma=0.01, gate_times=(math.pi / 4,))[0][2]
+    fixed = [run_fig4b(n, gamma=0.01, gate_times=(math.pi / 4,))[0]
              for n in range(1, 7)]
     decreasing = all(b < a for a, b in zip(short, short[1:]))
     # S^x eigenvalues m obey m = N (mod 2), so at the commensurate time

@@ -18,7 +18,6 @@ from becsim.channels import (
     cavity_basis,
     cavity_initial_state,
     cavity_sx1,
-    CavityModel,
     embed_loss_state,
     lambda_observables,
     loss_basis,
@@ -126,7 +125,7 @@ def test_loss_preserves_trace_across_sectors():
 # three-level scheme
 
 def test_lambda_model_hermitian_and_tagged():
-    model = build_lambda_model(3, 1.0, 10.0, 0.1)
+    model, _ = build_lambda_model(3, 1.0, 10.0, 0.1)
     h = model.hamiltonian
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     assert len(model.jumps) == 2
@@ -153,7 +152,8 @@ def test_lambda_envelope_rate_matches_formula():
 
 
 def test_lambda_observables_shapes():
-    obs = lambda_observables(2)
+    _, basis = build_lambda_model(2, 1.0, 10.0, 0.1)
+    obs = lambda_observables(basis)
     dim = obs["sz"].shape[0]
     assert obs["sx"].shape == (dim, dim)
     assert np.max(np.abs(obs["sx"] - obs["sx"].conj().T)) < 1e-12
@@ -164,7 +164,8 @@ def test_lambda_observables_shapes():
 
 def test_fig4b_exact_reversal_without_dephasing():
     out = run_fig4b(3, gamma=0.0, gate_times=(0.3, 0.7))
-    for _, _, err in out:
+    assert out.shape == (2,)
+    for err in out:
         assert abs(err) < 1e-8
 
 
@@ -181,9 +182,9 @@ def test_fig4b_builds_one_liouvillian(monkeypatch):
 def test_fig4b_unsorted_times_match_single_calls():
     times = (0.7, 0.2, math.pi / 8, 0.2, 0.0)
     out = run_fig4b(3, gamma=0.02, gate_times=times)
-    assert [t for _, t, _ in out] == list(times)
-    for _, t, err in out:
-        single = run_fig4b(3, gamma=0.02, gate_times=(t,))[0][2]
+    assert out.shape == (len(times),)
+    for t, err in zip(times, out):
+        single = run_fig4b(3, gamma=0.02, gate_times=(t,))[0]
         assert err == pytest.approx(single, rel=1e-10, abs=1e-14)
 
 
@@ -309,7 +310,7 @@ def test_fig4b_fixed_time_error_matches_dense_oracle():
         rho = vec.reshape(model.dim, model.dim, order="F")
         readout = site_operator(2, n, {0: "z"}) / n
         errors[n] = 1.0 - float(np.real(np.trace(readout @ rho)))
-        assert run_fig4b(n, gamma=0.01, gate_times=(t,))[0][2] == \
+        assert run_fig4b(n, gamma=0.01, gate_times=(t,))[0] == \
             pytest.approx(errors[n], abs=1e-9)
     # the parity dip behind criterion 7: N=5 is below N=4 at omega t = pi/4
     assert errors[5] < errors[4]
@@ -328,20 +329,35 @@ def test_fig4a_revival_degrades_with_n():
 # ---------------------------------------------------------------------------
 # cavity bus
 
-def test_cavity_model_validation():
-    with pytest.raises(ValueError):
-        CavityModel(2, detuning=1.0, cavity_g=1.0, gamma_c=-0.1)
-    with pytest.raises(ValueError):
-        CavityModel(2, detuning=0.0, cavity_g=1.0, gamma_c=0.1)
+BAD_BUS_INPUTS = {
+    "n_atoms=0": ({"n_atoms": 0}, "boson"),
+    "n_ph_max=0": ({"n_ph_max": 0}, "photon level"),
+    "delta=0": ({"delta": 0.0}, "detuning must be nonzero"),
+    "g_laser=0": ({"g_laser": 0.0}, "g_laser and cavity_g must be nonzero"),
+    "cavity_g=0": ({"cavity_g": 0.0}, "g_laser and cavity_g must be nonzero"),
+    # rejected by LindbladModel's rate check
+    "gamma_c=-0.1": ({"gamma_c": -0.1}, "jump rate must be finite and >= 0"),
+    "gamma_c=nan": ({"gamma_c": math.nan}, "jump rate must be finite"),
+    "gamma_c=inf": ({"gamma_c": math.inf}, "jump rate must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUS_INPUTS))
+def test_cavity_model_validation(case):
+    # a ValueError before any division: delta = 0 or a zero coupling used
+    # to raise ZeroDivisionError from the gate time
+    kwargs, message = BAD_BUS_INPUTS[case]
+    kwargs = {"n_atoms": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        run_fig4d(convergence_check=False, **kwargs)
 
 
 def test_cavity_sectors_conserved():
     # neither the drive, the cavity coupling nor photon decay touches
     # mode a: the derived blocks are the (n_a1, n_a2) classes, in order
     for n_atoms, n_ph_max in ((1, 1), (2, 2), (3, 2)):
-        params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
-                             gamma_c=0.5, n_ph_max=n_ph_max)
-        model, basis = build_cavity_model(params, 1.0)
+        model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 0.5, 1.0,
+                                          n_ph_max, n_ph_max + 1)
         labels = [(s[0], s[3]) for s in basis.states]
         expected = [[i for i, l in enumerate(labels) if l == key]
                     for key in sorted(set(labels))]
@@ -350,9 +366,7 @@ def test_cavity_sectors_conserved():
 
 
 def test_cavity_sector_evolution_matches_dense():
-    params = CavityModel(1, detuning=8.0, cavity_g=1.0,
-                         gamma_c=0.4, n_ph_max=1)
-    model, basis = build_cavity_model(params, 1.0)
+    model, basis = build_cavity_model(1, 8.0, 1.0, 0.4, 1.0, 1, 2)
     prop = SectorPropagator(model)
     psi = cavity_initial_state(basis, 1)
     rho0 = np.outer(psi, psi.conj())
@@ -361,13 +375,13 @@ def test_cavity_sector_evolution_matches_dense():
     assert np.max(np.abs(evolve_by_blocks(prop, rho0, t) - dense)) < 1e-8
 
 
-@pytest.mark.parametrize("n_atoms,exc_max", [(1, "auto"), (2, 1)])
+@pytest.mark.parametrize("n_atoms,exc_max", [(1, 2), (2, 1)])
 def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
-    # N = 2 drops the states with two excitations (exc_max=1): the default
-    # truncation gives a 2704-dim dense Liouvillian, too slow for expm
-    params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
-                         gamma_c=1.0, n_ph_max=1)
-    model, basis = build_cavity_model(params, 1.0, exc_max=exc_max)
+    # N = 2 drops the states with two excitations (exc_max=1): fig4d's
+    # exc_max = n_ph_max + 1 gives a 2704-dim dense Liouvillian, too slow
+    # for expm
+    model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0, 1,
+                                      exc_max)
     psi = cavity_initial_state(basis, n_atoms)
     rho0 = np.outer(psi, psi.conj())
     sx1 = cavity_sx1(basis) / n_atoms
@@ -395,9 +409,8 @@ def _brute_force_pairs(blocks, operator):
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
 @pytest.mark.parametrize("n_ph_max", [3, 4])
 def test_observable_blocks_match_brute_force_scan(n_atoms, n_ph_max):
-    params = CavityModel(n_atoms, detuning=10.0, cavity_g=1.0,
-                         gamma_c=1.0, n_ph_max=n_ph_max)
-    model, basis = build_cavity_model(params, 1.0)
+    model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0,
+                                      n_ph_max, n_ph_max + 1)
     prop = SectorPropagator(model)
     for op in (cavity_sx1(basis), basis.spin("z"), basis.lower(6),
                basis.transition(0, 3)):
@@ -406,9 +419,7 @@ def test_observable_blocks_match_brute_force_scan(n_atoms, n_ph_max):
 
 
 def test_fig4d_diagonalizes_each_folded_pair_once(monkeypatch):
-    params = CavityModel(1, detuning=10.0, cavity_g=1.0,
-                         gamma_c=1.0, n_ph_max=1)
-    model, basis = build_cavity_model(params, 1.0)
+    model, basis = build_cavity_model(1, 10.0, 1.0, 1.0, 1.0, 1, 2)
     pairs = set(SectorPropagator(model).observable_blocks(
         cavity_sx1(basis)))
     folded = [(i, j) for i, j in pairs if not (i > j and (j, i) in pairs)]

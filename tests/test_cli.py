@@ -318,6 +318,17 @@ def test_fig4b_time_follows_abs_omega(tmp_path):
     np.testing.assert_allclose(fast[:, 2], slow[:, 2], rtol=0, atol=1e-12)
 
 
+def test_fig4d_writes_the_api_default_errors(tmp_path):
+    # one photon-cutoff default: the command passes none of its own
+    out = tmp_path / "f4d.csv"
+    main(["fig4d", "--N-max", "1", "--out", str(out)])
+    header, rows = read_csv(out)
+    assert header == ["N", "t", "error"]
+    res = channels.run_fig4d(1)
+    assert [float(r[1]) for r in rows] == res.times.tolist()
+    assert [float(r[2]) for r in rows] == res.errors.tolist()
+
+
 def test_fig4c_envelope_check(tmp_path, capsys):
     out = tmp_path / "f4c.csv"
     assert main(["fig4c", "--N", "2", "--samples", "3001",

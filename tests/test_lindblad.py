@@ -385,11 +385,10 @@ def _dephasing_m2_n3():
 
 
 def _lambda_n2():
-    basis = OccupationBasis(enumerate_occupations(3, 2))
+    model, basis = build_lambda_model(2, 1.0, 10.0, 0.1)
     rho0 = np.zeros((basis.size,) * 2, dtype=complex)
     rho0[basis.index[(2, 0, 0)], basis.index[(2, 0, 0)]] = 1.0
-    return (build_lambda_model(2, 1.0, 10.0, 0.1), rho0,
-            lambda_observables(2), lindblad._rk_series)
+    return model, rho0, lambda_observables(basis), lindblad._rk_series
 
 
 @pytest.mark.parametrize("case", [_loss_m2_n2, _dephasing_m2_n3, _lambda_n2],

@@ -6,17 +6,20 @@ breaks the benchmark.  This imports the benchmark modules, installs the
 tracer, checks the wrapped methods keep the signatures its hooks rely on,
 and restores every name.  perfbench/operations.py reads its `becsim.<name>`
 and `channels.<name>` attributes only when an operation runs, so those are
-checked from its source.
+checked from its source, and the two fast workloads are run against
+perfbench/reference.json.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,9 +96,7 @@ def test_tracer_sees_one_eig_per_folded_pair():
     # still see every eig, and none through SectorPropagator
     tracing = _load("tracing")
     from becsim import channels, lindblad
-    params = channels.CavityModel(1, detuning=10.0, cavity_g=1.0,
-                                  gamma_c=1.0, n_ph_max=1)
-    model, basis = channels.build_cavity_model(params, 1.0)
+    model, basis = channels.build_cavity_model(1, 10.0, 1.0, 1.0, 1.0, 1, 2)
     pairs = set(lindblad.SectorPropagator(model).observable_blocks(
         channels.cavity_sx1(basis)))
     folded = [(i, j) for i, j in pairs if not (i > j and (j, i) in pairs)]
@@ -109,3 +110,15 @@ def test_tracer_sees_one_eig_per_folded_pair():
     assert tracer.value("lindblad.block_eig.calls", stats) == 0
     assert tracer.value("linalg.eig.calls", stats) == len(folded)
     assert tracer.value("linalg.eig.work_n3", stats) > 0
+
+
+@pytest.mark.parametrize("workload", ["pure_gates", "sparse_expm"])
+def test_operations_match_reference(workload, tmp_path):
+    # the benchmark's script operations call the public API directly, so an
+    # API change that breaks one, or moves a pinned number, shows here; the
+    # slower cavity_bus and rabi_rk workloads are left to the benchmark
+    operations = _load("operations")
+    reference = json.loads((PERFBENCH / "reference.json").read_text("utf-8"))
+    for op in operations.WORKLOADS[workload]:
+        _, outcome = op.run(tmp_path)
+        assert operations.compare(outcome, reference[op.name]) == [], op.name
