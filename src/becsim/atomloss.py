@@ -8,9 +8,10 @@ collisions, two-body inelastic scattering, and three-body recombination:
 
 There is no two-body a-a term (forbidden by energy and angular-momentum
 conservation), and no three-body term for b where two-body scattering
-dominates.  Densities enter through a constant-volume closure: <n_x>
-scales as the initial density times the surviving population fraction of
-that state, and <n^2> = <n>^2.
+dominates.  Densities enter through a constant-volume closure with one
+per-atom density: every atom, of either state, adds density / (Na0 + Nb0)
+to its state's mean, so <n_x>(t) = Nx(t) density / (Na0 + Nb0), and
+<n^2> = <n>^2.
 
 Note the rate constants carry cm^3/s and cm^6/s units, so the density
 must be a volume density; the commonly quoted chip value of order 1e12
@@ -27,29 +28,23 @@ import numpy as np
 from .errors import IntegrationError
 from .lindblad import _check_times, solve_ivp
 
-#: Reported lifetime when the corresponding rate vanishes.
-INFINITE_LIFETIME = math.inf
-
-# measured rate constants for the (F=1, m=-1) / (F=2, m=1) pair
-DEFAULT_K_B = 1.194e-13      # two-body, state b        [cm^3 / s]
-DEFAULT_K_AB = 0.780e-13     # two-body, inter-state    [cm^3 / s]
-DEFAULT_L_A = 5.8e-30        # three-body, state a      [cm^6 / s]
-DEFAULT_GAMMA_L = 0.1        # background loss          [1 / s]
-DEFAULT_DENSITY = 1e12       # chip-trap mean density   [cm^-3]
-
 # absolute tolerance of the RK45 population integration [atoms]
 LOSS_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
 class AtomLossParams:
-    """Loss rates, mean density, and initial populations of both states."""
+    """Loss rates, mean density, and initial populations of both states.
 
-    Gamma_l: float = DEFAULT_GAMMA_L
-    K_b: float = DEFAULT_K_B
-    K_ab: float = DEFAULT_K_AB
-    L_a: float = DEFAULT_L_A
-    density: float = DEFAULT_DENSITY
+    The default rate constants are the measured ones for the
+    (F=1, m=-1) / (F=2, m=1) pair.
+    """
+
+    Gamma_l: float = 0.1         # background loss          [1 / s]
+    K_b: float = 1.194e-13       # two-body, state b        [cm^3 / s]
+    K_ab: float = 0.780e-13      # two-body, inter-state    [cm^3 / s]
+    L_a: float = 5.8e-30         # three-body, state a      [cm^6 / s]
+    density: float = 1e12        # chip-trap mean density   [cm^-3]
     Na0: float = 500.0
     Nb0: float = 500.0
 
@@ -63,21 +58,18 @@ class AtomLossParams:
         if not (0 <= self.Na0 < math.inf and 0 <= self.Nb0 < math.inf):
             raise ValueError("initial populations must be finite and >= 0")
 
-    def initial_densities(self):
-        """Mean densities of each state, splitting the total density by
-        the initial population fractions."""
+    def density_per_atom(self):
+        """Density each atom adds to its state's mean, density / (Na0 + Nb0);
+        0 with no atoms."""
         total = self.Na0 + self.Nb0
-        if total == 0:
-            return 0.0, 0.0
-        return (self.density * self.Na0 / total,
-                self.density * self.Nb0 / total)
+        return self.density / total if total > 0 else 0.0
 
 
 def integrate_loss_odes(p, t_end, samples):
     """Population series (times, Na(t), Nb(t)) under the loss equations.
 
     The density of each state follows its population at fixed trap
-    volume, so <n_a>(t) = n_a(0) * Na(t)/Na(0) (and likewise for b).
+    volume: <n_a>(t) = Na(t) * density / (Na0 + Nb0), and likewise for b.
     Every loss term is at least Gamma_l N, so N(t) <= N(0) exp(-Gamma_l t):
     once that bound falls below LOSS_ATOL both populations read 0, and
     the solver stops at the last sample before it, so its cost does not
@@ -86,14 +78,12 @@ def integrate_loss_odes(p, t_end, samples):
     _check_times(t_end, "t_end")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    na0, nb0 = p.initial_densities()
-    ca = na0 / p.Na0 if p.Na0 > 0 else 0.0   # density per atom, state a
-    cb = nb0 / p.Nb0 if p.Nb0 > 0 else 0.0
+    per_atom = p.density_per_atom()
 
     def rhs(_t, y):
         na_pop, nb_pop = y
-        dens_a = ca * na_pop
-        dens_b = cb * nb_pop
+        dens_a = per_atom * na_pop
+        dens_b = per_atom * nb_pop
         dna = -na_pop * (p.Gamma_l + p.K_ab * dens_b + p.L_a * dens_a ** 2)
         dnb = -nb_pop * (p.Gamma_l + p.K_ab * dens_a + p.K_b * dens_b)
         return (dna, dnb)
@@ -132,10 +122,11 @@ def lifetime_report(p):
     decaying state b; tau_3b = 1/(L_a n_a^2).  Vanishing rates report an
     infinite lifetime.
     """
-    na, nb = p.initial_densities()
-    tau_bg = 1.0 / p.Gamma_l if p.Gamma_l > 0 else INFINITE_LIFETIME
+    per_atom = p.density_per_atom()
+    na, nb = per_atom * p.Na0, per_atom * p.Nb0
+    tau_bg = 1.0 / p.Gamma_l if p.Gamma_l > 0 else math.inf
     two_body = p.K_b * nb + p.K_ab * na
-    tau_2b = 1.0 / two_body if two_body > 0 else INFINITE_LIFETIME
+    tau_2b = 1.0 / two_body if two_body > 0 else math.inf
     three_body = p.L_a * na ** 2
-    tau_3b = 1.0 / three_body if three_body > 0 else INFINITE_LIFETIME
+    tau_3b = 1.0 / three_body if three_body > 0 else math.inf
     return tau_bg, tau_2b, tau_3b

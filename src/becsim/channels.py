@@ -147,6 +147,13 @@ def run_fig4c(n_atoms, g=1.0, delta=10.0, gamma_s=0.1, t_end=None,
     oscillates at angular frequency 2g^2/Delta while spontaneous
     emission damps the envelope.
     """
+    # checked before the default t_end and the Rabi frequency divide by them
+    if n_atoms < 1:
+        raise ValueError("need at least one boson")
+    if delta == 0:
+        raise ValueError("detuning must be nonzero")
+    if g == 0:
+        raise ValueError("g must be nonzero")
     expected = g ** 2 * gamma_s * (n_atoms + 1) / delta ** 2
     if t_end is None:
         # a few decay times, or a few Rabi periods when nothing decays

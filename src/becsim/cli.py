@@ -124,14 +124,14 @@ def cmd_fig2a(params, out):
     n = params["N"]
     samples = params["samples"]
     grid = np.linspace(0.0, params["t_end"], samples)
+    max_bits = math.log2(n + 1)
     rows = []
     for wt in grid:
-        ent = registers.entropy(registers.entangler_reduced_state(n, n, wt))
-        rows.append((wt, ent.bits, ent.max_bits))
+        rows.append((wt, registers.entropy(
+            registers.entangler_reduced_state(n, n, wt)), max_bits))
     write_csv(out, ["omega_t", "entropy_bits", "max_bits"], rows)
     peak = max(r[1] for r in rows)
-    print("fig2a: N=%d, peak entropy %.4f of %.4f bits"
-          % (n, peak, rows[0][2]))
+    print("fig2a: N=%d, peak entropy %.4f of %.4f bits" % (n, peak, max_bits))
     return 0
 
 
@@ -142,7 +142,7 @@ def cmd_fig2b(params, out):
     for n in range(1, params["N_max"] + 1):
         wt = math.pi / (4.0 * n)
         rho = registers.entangler_reduced_state(n, n, wt)
-        rows.append((n, registers.entropy(rho).bits))
+        rows.append((n, registers.entropy(rho)))
     write_csv(out, ["N", "entropy_bits"], rows)
     base = rows[0][1]
     dev = max(abs(e - base) for _, e in rows)

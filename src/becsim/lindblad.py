@@ -107,7 +107,6 @@ class EvolutionRecord:
     trace_dev: np.ndarray
     herm_defect: np.ndarray
     min_eig: np.ndarray = None   # NaN where the check was skipped
-    failed: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -123,10 +122,12 @@ class EvolutionRecord:
         for name, series in self.observables.items():
             if np.asarray(series).size != n:
                 raise ValueError("series %r length mismatch" % name)
+
+    @property
+    def failed(self):
         # NaN (an unsampled min_eig) compares False
-        self.failed = bool(self.failed
-                           or np.any(np.abs(self.trace_dev) > TRACE_FLAG)
-                           or np.any(self.min_eig < -TRACE_FLAG))
+        return bool(np.any(np.abs(self.trace_dev) > TRACE_FLAG)
+                    or np.any(self.min_eig < -TRACE_FLAG))
 
     def series(self, name):
         return np.asarray(self.observables[name], dtype=float)
@@ -479,24 +480,23 @@ class DecayFit:
 
 
 def _envelope_peaks(t, y):
-    """Local maxima of |y| with quadratic vertex interpolation."""
+    """Local maxima of |y| with quadratic vertex interpolation.
+
+    A peak is a sample at or above both neighbours and above one of them,
+    at or above 1e-12 max(1, max|y|).  Its rises over the two neighbours
+    are >= 0 with a positive sum, after rounding too, so the vertex shift
+    0.5 (left - right) / (left + right) stays within half a step and the
+    vertex is at least as high as the sample.
+    """
     a = np.abs(y)
     floor = 1e-12 * max(1.0, a.max())
     peaks = []
     for i in range(1, len(a) - 1):
-        if a[i] < floor:
-            continue
-        if a[i] >= a[i - 1] and a[i] >= a[i + 1] and (a[i] > a[i - 1]
-                                                      or a[i] > a[i + 1]):
-            denom = a[i - 1] - 2 * a[i] + a[i + 1]
-            if denom < 0:
-                shift = 0.5 * (a[i - 1] - a[i + 1]) / denom
-                shift = min(0.5, max(-0.5, shift))
-                tv = t[i] + shift * (t[i + 1] - t[i])
-                av = a[i] - 0.25 * (a[i - 1] - a[i + 1]) * shift
-            else:
-                tv, av = t[i], a[i]
-            peaks.append((tv, av))
+        left, right = a[i] - a[i - 1], a[i] - a[i + 1]
+        if a[i] >= floor and left >= 0 and right >= 0 and left + right > 0:
+            shift = 0.5 * (left - right) / (left + right)
+            peaks.append((t[i] + shift * (t[i + 1] - t[i]),
+                          a[i] + 0.25 * (left - right) * shift))
     return peaks
 
 

@@ -104,20 +104,6 @@ class DensityMatrix:
         return w
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    """Entanglement entropy in bits alongside its maximum log2(dim)."""
-
-    bits: float
-    max_bits: float
-
-    def __post_init__(self):
-        if not -1e-9 <= self.bits <= self.max_bits + 1e-9:
-            raise NumericalIntegrityError(
-                f"entropy {self.bits} outside [0, {self.max_bits}]"
-            )
-
-
 def tensor(states: Sequence[SpinState]) -> BecRegister:
     """Kronecker product of single-site states, in the given site order."""
     if not states:
@@ -202,16 +188,19 @@ def partial_trace(reg: BecRegister, keep_site: int) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def entropy(rho: DensityMatrix) -> EntropyResult:
-    """Von Neumann entropy -Tr(rho log2 rho) in bits."""
+def entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy -Tr(rho log2 rho) in bits, at most log2(dim)."""
     w = rho.eigenvalues()
     w = w[w > EIGENVALUE_CLIP]
-    bits = float(-np.sum(w * np.log2(w)))
-    return EntropyResult(max(0.0, bits), math.log2(rho.dim))  # 0.0, not -0.0
+    bits = max(0.0, float(-np.sum(w * np.log2(w))))   # 0.0, not -0.0
+    if bits > math.log2(rho.dim) + 1e-9:
+        raise NumericalIntegrityError(
+            f"entropy {bits} outside [0, {math.log2(rho.dim)}]")
+    return bits
 
 
-def entanglement_entropy(reg: BecRegister, keep_site: int = 0) -> EntropyResult:
-    """Entropy of the reduced state of ``keep_site``."""
+def entanglement_entropy(reg: BecRegister, keep_site: int = 0) -> float:
+    """Entropy in bits of the reduced state of ``keep_site``."""
     return entropy(partial_trace(reg, keep_site))
 
 

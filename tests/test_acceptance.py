@@ -146,17 +146,17 @@ def test_criterion_03_entangler_closed_form():
 def test_criterion_04_entropy_flatness_saturation():
     t0 = time.monotonic()
     one_bit = entanglement_entropy(
-        entangled_state_analytic(1, 1, math.pi / 4)).bits
+        entangled_state_analytic(1, 1, math.pi / 4))
     base_ok = abs(one_bit - 1.0) < 1e-9
     # E(pi/4N) rises from 1 bit at N=1 to the Gaussian limit E_inf, so
     # flatness is measured against E_inf, not against E(1)
     e_inf = gaussian_limit_entropy()
     flat_dev = max(
         abs(entanglement_entropy(
-            entangled_state_analytic(n, n, math.pi / (4 * n))).bits - e_inf)
+            entangled_state_analytic(n, n, math.pi / (4 * n))) - e_inf)
         for n in range(2, 51))
     sat = entanglement_entropy(entangled_state_analytic(200, 200, math.pi / 4))
-    ratio = sat.bits / sat.max_bits
+    ratio = sat / math.log2(201)
     dt = time.monotonic() - t0
     report(4, base_ok and flat_dev <= 0.15 and 0.45 <= ratio <= 0.55
            and dt < 120.0,

@@ -8,7 +8,6 @@ import pytest
 
 from becsim.atomloss import (
     AtomLossParams,
-    INFINITE_LIFETIME,
     integrate_loss_odes,
     lifetime_report,
 )
@@ -24,7 +23,16 @@ def test_default_lifetimes_orders_of_magnitude():
 
 def test_zero_rates_report_infinite_lifetime():
     p = AtomLossParams(Gamma_l=0.0, K_b=0.0, K_ab=0.0, L_a=0.0)
-    assert lifetime_report(p) == (INFINITE_LIFETIME,) * 3
+    assert lifetime_report(p) == (math.inf,) * 3
+
+
+def test_empty_trap_has_no_density():
+    # no atoms: the per-atom density is 0, so only background loss is left
+    p = AtomLossParams(Na0=0.0, Nb0=0.0)
+    assert p.density_per_atom() == 0.0
+    assert lifetime_report(p) == (pytest.approx(10.0), math.inf, math.inf)
+    _, na, nb = integrate_loss_odes(p, 1.0, 3)
+    assert not na.any() and not nb.any()
 
 
 def test_background_only_is_pure_exponential():

@@ -151,6 +151,18 @@ def test_lambda_envelope_rate_matches_formula():
     assert rate == pytest.approx(rec.meta["expected_decay"], rel=0.25)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"n_atoms": 0}, "at least one boson"),
+    ({"n_atoms": 1, "delta": 0.0}, "detuning must be nonzero"),
+    ({"n_atoms": 1, "g": 0.0}, "g must be nonzero"),
+], ids=["n_atoms=0", "delta=0", "g=0"])
+def test_fig4c_rejects_degenerate_inputs(kwargs, message):
+    # a ValueError before the default t_end, the Rabi frequency or the
+    # S^z / N readout divides by them
+    with pytest.raises(ValueError, match=message):
+        run_fig4c(**kwargs)
+
+
 def test_lambda_observables_shapes():
     _, basis = build_lambda_model(2, 1.0, 10.0, 0.1)
     obs = lambda_observables(basis)
@@ -167,6 +179,21 @@ def test_fig4b_exact_reversal_without_dephasing():
     assert out.shape == (2,)
     for err in out:
         assert abs(err) < 1e-8
+
+
+@pytest.mark.parametrize("n,t,slope", [
+    (1, math.pi / 4, math.pi),
+    (2, math.pi / 8, math.pi - 2.0),
+    (2, math.pi / 4, 2.0 * math.pi),
+], ids=["N1-pi/4", "N2-pi/8", "N2-pi/4"])
+def test_fig4b_first_order_slope_matches_closed_form(n, t, slope):
+    # de/dgamma at gamma = 0 sums the double commutators of the twisted
+    # S^z_j with the readout along both legs; at these points it has a
+    # closed form.  The finite difference at gamma = 1e-6 carries an
+    # O(gamma) term of a few 1e-6 (relative).
+    assert abs(run_fig4b(n, gamma=0.0, gate_times=(t,))[0]) <= 1e-15
+    fd = run_fig4b(n, gamma=1e-6, gate_times=(t,))[0] / 1e-6
+    assert fd == pytest.approx(slope, rel=1e-5)
 
 
 def test_fig4b_builds_one_liouvillian(monkeypatch):

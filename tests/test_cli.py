@@ -174,15 +174,46 @@ assert "scipy.stats" not in sys.modules
 """
 
 
-def test_cli_imports_only_what_runs(tmp_path):
-    # a fresh interpreter: this test process already holds scipy
+def run_fresh(probe, cwd, *argv):
+    """Run probe in a fresh interpreter: this test process already holds
+    scipy."""
     src = str(pathlib.Path(becsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_imports_only_what_runs(tmp_path):
+    run_fresh(IMPORT_PROBE, tmp_path)
+
+
+PATH_PROBE = """
+import sys
+from becsim.cli import main
+
+assert main(sys.argv[1:] + ["--out", "out.csv"]) == 0
+print(*sorted({"scipy.integrate", "scipy.sparse", "scipy.sparse.csgraph",
+               "scipy.sparse.linalg"} & set(sys.modules)))
+"""
+
+DOP853_MODULES = "scipy.integrate scipy.sparse scipy.sparse.linalg"
+
+
+@pytest.mark.parametrize("argv,modules", [
+    # dimension <= 64 and not diagonal: the adaptive DOP853 path
+    (["fig4a", "--samples", "3"], DOP853_MODULES),
+    (["fig4c", "--N", "2"], DOP853_MODULES),
+    # dimension 100: the exact path on the Liouvillian's components
+    (["fig4a", "--N", "9", "--samples", "3"],
+     "scipy.sparse scipy.sparse.csgraph scipy.sparse.linalg"),
+], ids=["fig4a-dop853", "fig4c-dop853", "fig4a-exact"])
+def test_master_equation_paths_import(argv, modules, tmp_path):
+    out = run_fresh(PATH_PROBE, tmp_path, *argv)
+    assert out.splitlines()[-1] == modules
 
 
 def test_unread_config_key_accepted(tmp_path):

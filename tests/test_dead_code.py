@@ -1,15 +1,20 @@
-"""Every top-level function and class of becsim has a reader.
+"""Every function, class, method and property of becsim has a reader.
 
 Private helpers included: a leftover shim under an old private name is
 as dead as an unused public one.  A reader is a reference, by name or as
 an attribute, anywhere in src/becsim or perfbench/ outside the definition
-itself.  Imports do not count, and neither do the tests: code that only
-tests call is dead.  The definitions whose only reader is the benchmark's
+itself; perfbench/tracing.py also reads the methods it wraps by their
+names as strings.  Imports do not count, and neither do the tests: code
+that only tests call is dead.  Dunders, and methods that override a base
+class's (such as an argparse hook), are called by their base class and
+are not checked.  The definitions whose only reader is the benchmark's
 tracer are pinned by name, so new tracer-only code fails, and so does a
 name the tracer no longer keeps alive.
 """
 
 import ast
+import collections
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -18,34 +23,69 @@ READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # read only by perfbench/tracing.py, which wraps them by name
 TRACER_ONLY = {"lindblad.propagate", "lindblad.SectorPropagator",
+               "lindblad.SectorPropagator.evolve_block",
+               "lindblad.SectorPropagator.observable_blocks",
                "registers.entangled_state_analytic",
                "registers.entanglement_entropy"}
 
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
-def _referenced(node):
-    """Identifiers and attribute names read anywhere under node."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+def _referenced(node, strings=False):
+    """Identifiers and attribute names read under node, with their counts;
+    with strings=True, string constants too."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name)
+        else n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        or (strings and isinstance(n, ast.Constant)
+            and isinstance(n.value, str)))
+
+
+def _overrides(module, cls, name):
+    """Whether a base class of module.cls defines name."""
+    bases = getattr(importlib.import_module("becsim." + module),
+                    cls).__mro__[1:]
+    return any(name in vars(base) for base in bases)
+
+
+def _definitions(path, tree):
+    """("module.name", node) for each top-level definition and each
+    method or property in a class body, dunders and overrides left out."""
+    for own in tree.body:
+        if not isinstance(own, DEFINITIONS):
+            continue
+        yield "%s.%s" % (path.stem, own.name), own
+        if isinstance(own, ast.ClassDef):
+            for item in own.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")
+                        and not _overrides(path.stem, own.name, item.name)):
+                    yield "%s.%s.%s" % (path.stem, own.name, item.name), item
 
 
 def _readers():
     """{"module.name": names of the files that read it} per definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in READERS}
-    refs = [(path.name, node, _referenced(node))
-            for path, tree in trees.items() for node in tree.body]
-    return {"%s.%s" % (path.stem, own.name):
-            {name for name, node, seen in refs
-             if node is not own and own.name in seen}
-            for path in PACKAGE for own in trees[path].body
-            if isinstance(own, (ast.FunctionDef, ast.ClassDef))}
+    seen = {path: _referenced(tree, strings=path.name == "tracing.py")
+            for path, tree in trees.items()}
+    readers = {}
+    for path in PACKAGE:
+        for name, own in _definitions(path, trees[path]):
+            inside = _referenced(own)[own.name]
+            readers[name] = {other.name for other, counts in seen.items()
+                             if counts[own.name] > (inside if other == path
+                                                    else 0)}
+    return readers
 
 
 def _unreferenced(private):
-    """Top-level definitions, public or private, that nothing reads."""
+    """Definitions, public or private, that nothing reads."""
     return [name for name, files in _readers().items()
             if not files
-            and name.split(".", 1)[1].startswith("_") == private]
+            and name.rsplit(".", 1)[1].startswith("_") == private]
 
 
 def test_every_public_definition_is_referenced():

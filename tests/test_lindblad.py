@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from becsim import lindblad
@@ -639,3 +640,39 @@ def test_envelope_rate_detrends_and_fits_the_tail():
     with pytest.raises(ValueError, match=r"100 samples .* shorter than "
                                          r"one Rabi period \(2\.0944\)"):
         oscillation_envelope_rate(rec, "y", 3.0)
+
+
+# |y| near 1 with neighbours a few ulps apart: a - 2b + c rounds there, so
+# the raw vertex formula can divide by 0 or shift past half a step
+NEAR_ONE = st.integers(-6, 0).map(lambda k: 1.0 + k * 2.0 ** -53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-10.0, 10.0), NEAR_ONE),
+                min_size=3, max_size=30),
+       st.floats(-100.0, 100.0), st.floats(1e-3, 10.0))
+@example([1.0 - 2.0 ** -53, 1.0, 1.0], 0.0, 1.0)
+@example([1.0 - 5 * 2.0 ** -53, 1.0, 1.0], 0.0, 1.0)
+@example([0.0, 1e-13, 0.0, 5.0, 0.0], 0.0, 1.0)
+def test_envelope_peaks_stay_within_half_a_step(values, t0, dt):
+    y = np.array(values)
+    t = t0 + dt * np.arange(y.size)
+    a = np.abs(y)
+    floor = 1e-12 * max(1.0, a.max())
+    expected = [i for i in range(1, a.size - 1)
+                if a[i] >= floor and a[i] >= max(a[i - 1], a[i + 1])
+                and a[i] > min(a[i - 1], a[i + 1])]
+    peaks = lindblad._envelope_peaks(t, y)
+    assert len(peaks) == len(expected)
+    for i, (tv, av) in zip(expected, peaks):
+        assert abs(tv - t[i]) <= 0.5 * (t[i + 1] - t[i]) + np.spacing(abs(tv))
+        assert av >= a[i]
+
+
+def test_envelope_peaks_skip_plateaus_and_the_floor():
+    t = np.arange(6.0)
+    assert lindblad._envelope_peaks(t, np.full(6, -0.3)) == []
+    # below 1e-12 max(1, max|y|): 1e-13 of a unit signal, 1e-9 of 1e4
+    assert lindblad._envelope_peaks(t, np.array([0, 1e-13, 0, 0, 0, 0])) == []
+    assert lindblad._envelope_peaks(
+        t, np.array([0, 1e-9, 0, 0, 1e4, 0])) == [(4.0, 1e4)]

@@ -122,19 +122,18 @@ def test_entangler_single_atom_quarter_period():
 def test_entropy_one_bit_single_atoms():
     reg = entangled_state_analytic(1, 1, math.pi / 4)
     res = entanglement_entropy(reg)
-    assert res.bits == pytest.approx(1.0, abs=1e-12)
-    assert res.max_bits == pytest.approx(1.0)
+    assert res == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_zero_for_product_state():
     res = entanglement_entropy(two_site_plus_x(4, 4))
-    assert res.bits == pytest.approx(0.0, abs=1e-10)
+    assert res == pytest.approx(0.0, abs=1e-10)
 
 
 def test_entropy_symmetric_between_sites():
     reg = entangled_state_analytic(3, 5, 0.3)
-    assert entanglement_entropy(reg, 0).bits == pytest.approx(
-        entanglement_entropy(reg, 1).bits, abs=1e-10)
+    assert entanglement_entropy(reg, 0) == pytest.approx(
+        entanglement_entropy(reg, 1), abs=1e-10)
 
 
 def test_partial_trace_properties():
@@ -156,7 +155,7 @@ def test_schmidt_weights_sum_to_one():
     reg = entangled_state_analytic(6, 2, 0.7)
     w = schmidt_weights(reg)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
-    assert entropy(partial_trace(reg, 0)).bits == pytest.approx(
+    assert entropy(partial_trace(reg, 0)) == pytest.approx(
         float(-(w[w > 1e-15] * np.log2(w[w > 1e-15])).sum()), abs=1e-9)
 
 
@@ -209,8 +208,7 @@ def test_reduced_state_matches_partial_trace_oracle():
         rho = entangler_reduced_state(n1, n2, wt)
         assert rho.entries.dtype == np.float64
         assert np.max(np.abs(rho.entries - oracle.entries)) <= 1e-13
-        assert entropy(rho).bits == pytest.approx(entropy(oracle).bits,
-                                                  abs=1e-12)
+        assert entropy(rho) == pytest.approx(entropy(oracle), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [100, 1024])
@@ -218,7 +216,7 @@ def test_reduced_state_at_zero_phase_is_pure(n):
     # the product state: renormalizing the trace keeps E below 1e-14
     rho = entangler_reduced_state(n, n, 0.0)
     assert abs(np.trace(rho.entries) - 1.0) <= 1e-15
-    assert entropy(rho).bits <= 1e-14
+    assert entropy(rho) <= 1e-14
 
 
 def test_reduced_state_capacity_guard():
@@ -237,7 +235,7 @@ def test_fig2_csvs_match_register_path(tmp_path):
                  "--out", str(out)]) == 0
     for wt, bits, max_bits in read_rows(out):
         reg = entangled_state_analytic(30, 30, wt)
-        assert bits == pytest.approx(entanglement_entropy(reg).bits, abs=1e-12)
+        assert bits == pytest.approx(entanglement_entropy(reg), abs=1e-12)
         assert max_bits == math.log2(31)
     out = tmp_path / "f2b.csv"
     assert main(["fig2b", "--N-max", "30", "--out", str(out)]) == 0
@@ -245,7 +243,7 @@ def test_fig2_csvs_match_register_path(tmp_path):
     assert [n for n, _ in rows] == list(range(1, 31))
     for n, bits in rows:
         reg = entangled_state_analytic(int(n), int(n), math.pi / (4.0 * n))
-        assert bits == pytest.approx(entanglement_entropy(reg).bits, abs=1e-12)
+        assert bits == pytest.approx(entanglement_entropy(reg), abs=1e-12)
 
 
 @pytest.mark.parametrize("t_end", ["1e300", "1e308"])
@@ -283,4 +281,4 @@ def test_entropy_short_gate_reaches_gaussian_limit():
     up, down = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
     e_inf = up * math.log2(up) - down * math.log2(down)
     reg = entangled_state_analytic(50, 50, math.pi / 200)
-    assert entanglement_entropy(reg).bits == pytest.approx(e_inf, abs=1e-4)
+    assert entanglement_entropy(reg) == pytest.approx(e_inf, abs=1e-4)
