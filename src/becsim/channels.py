@@ -241,12 +241,8 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
 def cavity_basis(n_atoms, n_ph_max, exc_max):
     """Occupations (a1,b1,c1,a2,b2,c2,ph), fixed N per BEC.
 
-    exc_max truncates the total excitation c1+c2+ph.  The
-    bus is not purely dispersive at the run_fig4d defaults:
-    states with one c boson and one photon have bare energy
-    +Delta - Delta = 0, degenerate with the (a, b) ground manifold, so
-    their amplitudes are not perturbatively small and exc_max changes
-    the dynamics qualitatively (exc_max=1 removes them).
+    exc_max truncates the total excitation c1+c2+ph; exc_max=1 removes
+    the resonant c + photon states (see build_cavity_model).
     """
     site = enumerate_occupations(3, n_atoms)
     return OccupationBasis([s1 + s2 + (ph,) for s1 in site for s2 in site

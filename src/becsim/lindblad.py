@@ -106,21 +106,13 @@ class EvolutionRecord:
     observables: dict
     trace_dev: np.ndarray
     herm_defect: np.ndarray
-    min_eig: np.ndarray = None   # NaN where the check was skipped
+    min_eig: np.ndarray   # NaN where the check was skipped
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        # scalars broadcast to one value per sample
-        self.trace_dev = np.broadcast_to(
-            np.asarray(self.trace_dev, dtype=float), self.times.shape).copy()
-        self.herm_defect = np.broadcast_to(
-            np.asarray(self.herm_defect, dtype=float), self.times.shape).copy()
-        if self.min_eig is None:
-            self.min_eig = np.full_like(self.times, np.nan)
         n = self.times.size
         for name, series in self.observables.items():
-            if np.asarray(series).size != n:
+            if series.size != n:
                 raise ValueError("series %r length mismatch" % name)
 
     @property
@@ -130,12 +122,12 @@ class EvolutionRecord:
                     or np.any(self.min_eig < -TRACE_FLAG))
 
     def series(self, name):
-        return np.asarray(self.observables[name], dtype=float)
+        return self.observables[name]
 
     def table(self):
         """(header, rows): t,<observable names...>,trace_dev,herm_defect."""
         names = list(self.observables)
-        cols = [self.times] + [np.real(self.observables[k]) for k in names]
+        cols = [self.times] + [self.observables[k] for k in names]
         cols += [self.trace_dev, self.herm_defect]
         return ["t"] + names + ["trace_dev", "herm_defect"], zip(*cols)
 
@@ -260,8 +252,7 @@ def _sample_rho(idx, vals, t_end, model, observables, meta):
                     0.5 * (m + m.conj().T))[0])
         for name, o in ops.items():
             obs[name][i] = np.real(np.sum(o * v))
-    return EvolutionRecord(times, obs, trace_dev, herm,
-                           min_eig=min_eig, meta=meta)
+    return EvolutionRecord(times, obs, trace_dev, herm, min_eig, meta)
 
 
 def solve_ivp(*args, **kwargs):
@@ -482,18 +473,18 @@ class DecayFit:
 def _envelope_peaks(t, y):
     """Local maxima of |y| with quadratic vertex interpolation.
 
-    A peak is a sample at or above both neighbours and above one of them,
-    at or above 1e-12 max(1, max|y|).  Its rises over the two neighbours
-    are >= 0 with a positive sum, after rounding too, so the vertex shift
-    0.5 (left - right) / (left + right) stays within half a step and the
-    vertex is at least as high as the sample.
+    A peak is a sample above its left neighbour and at or above its right
+    one (a flat top counts once), at or above 1e-12 max(1, max|y|).  Its
+    rises over the neighbours are > 0 and >= 0, after rounding too, so the
+    vertex shift 0.5 (left - right) / (left + right) stays within half a
+    step and the vertex is at least as high as the sample.
     """
     a = np.abs(y)
     floor = 1e-12 * max(1.0, a.max())
     peaks = []
     for i in range(1, len(a) - 1):
         left, right = a[i] - a[i - 1], a[i] - a[i + 1]
-        if a[i] >= floor and left >= 0 and right >= 0 and left + right > 0:
+        if a[i] >= floor and left > 0 and right >= 0:
             shift = 0.5 * (left - right) / (left + right)
             peaks.append((t[i] + shift * (t[i + 1] - t[i]),
                           a[i] + 0.25 * (left - right) * shift))

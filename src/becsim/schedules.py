@@ -18,12 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .lindblad import check_density_dim
 from .registers import (BecRegister, _joint_dim, partial_trace,
                         plus_x_state, tensor)
 from .spin import kron_product, make_fock, spin_operator
-
-MAX_DENSE_DIM = 4096  # exact exponentiation budget for schedule Hamiltonians
 
 AXES = ("I", "x", "y", "z")
 
@@ -104,8 +102,7 @@ def _site_axes(term: SpinProductTerm, site_n: Sequence[int]) -> list[str]:
 def step_hamiltonian(step: GateStep, site_n: Sequence[int]) -> np.ndarray:
     """Dense Hamiltonian of one step; rejects non-commuting term lists."""
     dim = math.prod(n + 1 for n in site_n)
-    if dim > MAX_DENSE_DIM:
-        raise CapacityError(f"dense exponentiation limited to dim {MAX_DENSE_DIM}")
+    check_density_dim(dim)   # dim x dim complex operands, like a rho
     mats = [kron_product([spin_operator(a, n) for a, n in
                           zip(_site_axes(t, site_n), site_n)], t.coeff)
             for t in step.terms]

@@ -109,18 +109,14 @@ def make_coherent(p: CoherentParams) -> SpinState:
     """Spin coherent state (alpha a^+ + beta b^+)^N |0> / sqrt(N!)."""
     n = p.n_atoms
     k = np.arange(n + 1)
-    # amplitudes via logs: sqrt(C(N,k)) alpha^k beta^(N-k), with care at zeros
-    amps = np.zeros(n + 1, dtype=complex)
-    ra, rb = abs(p.alpha), abs(p.beta)
-    pa = cmath.phase(p.alpha) if ra > 0 else 0.0
-    pb = cmath.phase(p.beta) if rb > 0 else 0.0
-    with np.errstate(divide="ignore"):
-        log_ra = np.log(ra) if ra > 0 else -np.inf
-        log_rb = np.log(rb) if rb > 0 else -np.inf
-        logmag = 0.5 * log_binomial(n, k) + k * log_ra + (n - k) * log_rb
-    mask = np.isfinite(logmag)
-    phase = np.exp(1j * (k * pa + (n - k) * pb))
-    amps[mask] = np.exp(logmag[mask]) * phase[mask]
+    # amplitudes via logs: sqrt(C(N,k)) alpha^k beta^(N-k); a zero power
+    # is 1 (0^0 at the poles), where k log 0 would be NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ra, log_rb = np.log(abs(p.alpha)), np.log(abs(p.beta))
+        logmag = (0.5 * log_binomial(n, k) + np.where(k > 0, k * log_ra, 0.0)
+                  + np.where(k < n, (n - k) * log_rb, 0.0))
+    phase = np.exp(1j * (k * cmath.phase(p.alpha) + (n - k) * cmath.phase(p.beta)))
+    amps = np.exp(logmag) * phase
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return SpinState(n, amps / norm)
 

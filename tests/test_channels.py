@@ -30,7 +30,7 @@ from becsim.channels import (
     site_operator,
 )
 from becsim.cli import main
-from becsim.errors import IntegrationError
+from becsim.errors import IntegrationError, NumericalIntegrityError
 from becsim.lindblad import (
     LindbladModel,
     SectorPropagator,
@@ -474,6 +474,15 @@ def test_fig4d_never_steps(monkeypatch):
         # the cutoff check runs n_ph_max 4 too
         run_fig4d(n_atoms, n_ph_max=3)
     assert not calls
+
+
+def test_fig4d_refuses_an_unconverged_photon_cutoff():
+    # one photon level: the errors move by 5.8e-2 against the 1e-4 bound
+    # when a second level is added
+    with pytest.raises(NumericalIntegrityError,
+                       match=r"photon cutoff 1 not converged: observables "
+                             r"move by 5\.812e-02"):
+        run_fig4d(1, n_ph_max=1)
 
 
 def test_fig4d_small_system_runs():

@@ -1,4 +1,5 @@
-"""Every function, class, method and property of becsim has a reader.
+"""Every function, class, method, property and module-level UPPER_CASE
+constant of becsim has a reader.
 
 Private helpers included: a leftover shim under an old private name is
 as dead as an unused public one.  A reader is a reference, by name or as
@@ -50,13 +51,25 @@ def _overrides(module, cls, name):
     return any(name in vars(base) for base in bases)
 
 
+def _constant(node):
+    """The name a top-level UPPER_CASE assignment binds, else None."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name) \
+            and targets[0].id.isupper():
+        return targets[0].id
+    return None
+
+
 def _definitions(path, tree):
-    """("module.name", node) for each top-level definition and each
-    method or property in a class body, dunders and overrides left out."""
+    """("module.name", node) for each top-level definition or
+    UPPER_CASE constant and each method or property in a class body,
+    dunders and overrides left out."""
     for own in tree.body:
-        if not isinstance(own, DEFINITIONS):
+        name = own.name if isinstance(own, DEFINITIONS) else _constant(own)
+        if name is None:
             continue
-        yield "%s.%s" % (path.stem, own.name), own
+        yield "%s.%s" % (path.stem, name), own
         if isinstance(own, ast.ClassDef):
             for item in own.body:
                 if (isinstance(item, ast.FunctionDef)
@@ -73,10 +86,13 @@ def _readers():
             for path, tree in trees.items()}
     readers = {}
     for path in PACKAGE:
-        for name, own in _definitions(path, trees[path]):
-            inside = _referenced(own)[own.name]
-            readers[name] = {other.name for other, counts in seen.items()
-                             if counts[own.name] > (inside if other == path
+        for qualname, own in _definitions(path, trees[path]):
+            name = qualname.rsplit(".", 1)[1]
+            # names inside the node (a recursive call, a constant's own
+            # target) are not readers
+            inside = _referenced(own)[name]
+            readers[qualname] = {other.name for other, counts in seen.items()
+                                 if counts[name] > (inside if other == path
                                                     else 0)}
     return readers
 

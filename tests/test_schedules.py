@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from becsim import lindblad, schedules
+from becsim.errors import CapacityError
 from becsim.registers import (BecRegister, apply_zz, plus_x_state,
                               register_fidelity, tensor)
 from becsim.schedules import (
@@ -46,6 +48,25 @@ def test_step_hamiltonian_rejects_noncommuting_terms():
     with pytest.raises(ValueError) as run:
         run_schedule(tensor([plus_x_state(2)]), [step])
     assert str(run.value) == str(dense.value)
+
+
+def test_step_hamiltonian_holds_the_density_matrix_ceiling(monkeypatch):
+    # the commutation check's operands are joint-sized dense matrices, so
+    # the joint dimension is refused before any of them is built
+    monkeypatch.setattr(lindblad, "MAX_DENSITY_DIM", 16)
+    step = GateStep(
+        (SpinProductTerm(1.0, ((0, "x"),)), SpinProductTerm(1.0, ((0, "z"),))),
+        0.1)
+
+    def build_nothing(*args):
+        raise AssertionError("a joint matrix built past the ceiling")
+    with monkeypatch.context() as patch:
+        patch.setattr(schedules, "kron_product", build_nothing)
+        with pytest.raises(CapacityError, match="ceiling 16"):
+            step_hamiltonian(step, (4, 4))
+    # 16 itself passes and reaches the commutation check
+    with pytest.raises(ValueError, match="non-commuting"):
+        step_hamiltonian(step, (3, 3))
 
 
 def test_run_schedule_matches_diagonal_gate():

@@ -141,6 +141,22 @@ def test_coherent_state_normalized():
         assert np.sum(np.abs(s.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 4, 100])
+def test_coherent_states_at_the_poles(n):
+    # alpha = 0 or beta = 0 leaves one Fock amplitude (0^0 = 1), under the
+    # suite's RuntimeWarning filter
+    north, south = CoherentParams(1, 0, n), CoherentParams(0, 1, n)
+    assert np.array_equal(make_coherent(north).amps, make_fock(n, n).amps)
+    assert np.array_equal(make_coherent(south).amps, make_fock(0, n).amps)
+    for phi in (0.0, 2.0):
+        # theta = 0 is |N> up to a global phase
+        amps = make_coherent(CoherentParams.from_angles(0.0, phi, n)).amps
+        assert np.max(np.abs(amps[:n])) == 0.0
+        assert abs(amps[n]) == pytest.approx(1.0, abs=1e-15)
+    assert overlap_numeric(make_coherent(north), make_coherent(south)) == \
+        overlap_analytic(north, south) == 0.0
+
+
 def test_coherent_params_validation():
     with pytest.raises(ValueError):
         CoherentParams(1.0, 1.0, 5)
