@@ -149,18 +149,19 @@ def _all_diagonal(model):
 
 
 def _liouvillian(model):
-    """Sparse superoperator over the row-major vectorized density matrix."""
+    """Sparse row-major superoperator -i H_eff (x) 1 + i 1 (x) (H + iD/2)^T
+    + sum_j gamma_j L (x) conj(L), H_eff = H - iD/2, D = sum_j gamma_j L+L
+    (Breuer & Petruccione 2002).  H^T, not conj(H): H is Hermitian to 1e-10."""
     import scipy.sparse as sp
     d = model.dim
     eye = sp.identity(d, format="csr", dtype=complex)
     h = sp.csr_matrix(model.hamiltonian)
-    lv = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for op, rate in model.jumps:
-        l = sp.csr_matrix(op)
-        ldl = (l.conj().T @ l).tocsr()
-        lv = lv + rate * (sp.kron(l, l.conj())
-                          - 0.5 * sp.kron(ldl, eye)
-                          - 0.5 * sp.kron(eye, ldl.T))
+    jumps = [(sp.csr_matrix(op), rate) for op, rate in model.jumps]
+    damp = sum((rate * (l.conj().T @ l) for l, rate in jumps), 0 * eye)
+    lv = (-1j * sp.kron(h - 0.5j * damp, eye)
+          + 1j * sp.kron(eye, (h + 0.5j * damp).T))
+    for l, rate in jumps:
+        lv = lv + rate * sp.kron(l, l.conj())
     lv = lv.tocsr()
     lv.eliminate_zeros()    # sp.kron stores the zeros of a half-dense factor
     return lv
@@ -273,14 +274,14 @@ def _rk_series(model, rho, t_end, samples):
     if t_end == 0:
         # solve_ivp cannot integrate over an empty interval
         return np.arange(d * d), np.tile(rho.reshape(-1), (samples, 1))
-    jumps = [(op, op.conj().T @ op, rate) for op, rate in model.jumps]
+    jumps = [(op, dag, dag @ op, rate) for op, rate in model.jumps
+             for dag in [op.conj().T]]
 
     def rhs(_t, y):
         r = y.reshape(d, d)
         out = -1j * (h @ r - r @ h)
-        for l, ldl, rate in jumps:
-            out += rate * (l @ r @ l.conj().T
-                           - 0.5 * (ldl @ r + r @ ldl))
+        for l, dag, ldl, rate in jumps:
+            out += rate * (l @ r @ dag - 0.5 * (ldl @ r + r @ ldl))
         return out.reshape(-1)
 
     sol = solve_ivp(rhs, (0.0, t_end), rho.reshape(-1),
@@ -347,17 +348,17 @@ def echo(model, rho0, readout, times):
 
     for x = vec rho0 and o pairing rho[i, j] with readout[j, i].  Each
     Liouvillian component L_b (_occupied) that rho0 and the readout both
-    touch runs on one of two kernels.  When L_b^T = L_b exactly (the
-    dephasing gate), [x, conj(o)] steps forward under L_b between the
-    sorted times with expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488, 2011); the stepped part keeps its own trace, checked
-    at every time.  Otherwise (the cavity bus) one eig, (w, V, V^-1),
-    evolves x to all times at once and back as conj(V exp(w t) V^-1
-    conj(x)), and the component of the transposed entries folds into
-    2 Re of the contribution, as the readout is Hermitian.  Returns the
-    real signal at each time, in the order given.
+    touch runs on one of two kernels, once per distinct time.  When
+    L_b^T = L_b exactly (the dephasing gate), [x, conj(o)] steps forward
+    under L_b between the sorted times with expm_multiply (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488, 2011); the stepped part keeps
+    its own trace, checked at every time.  Otherwise (the cavity bus) one
+    eig, (w, V), evolves x to all times at once and back as conj(V exp(w t)
+    V^-1 conj(x)), V^-1 by a solve, and the transposed entries' component
+    folds into 2 Re of the contribution, as the readout is Hermitian.
+    Returns the real signal at each time, in the order given.
     """
-    times = _check_times(times)
+    times, back = np.unique(_check_times(times), return_inverse=True)
     if any(np.any(m.imag) for m in [model.hamiltonian] + [
             op for op, _ in model.jumps]):
         raise ValueError("the echo needs a real H and real jumps")
@@ -384,10 +385,9 @@ def echo(model, rho0, readout, times):
             continue
         diagonalized.add(c)
         w, v = np.linalg.eig(block.toarray())
-        vinv = np.linalg.inv(v)
         grow = np.exp(np.outer(w, times))
-        xt = v @ (grow * (vinv @ rho[idx[pos]])[:, None])
-        yt = np.conj(v @ (grow * (vinv @ np.conj(xt))))
+        xt = v @ (grow * np.linalg.solve(v, rho[idx[pos]])[:, None])
+        yt = np.conj(v @ (grow * np.linalg.solve(v, np.conj(xt))))
         fold = 2.0 if mate > c and mate in reached else 1.0
         vals += fold * np.real(o[pos] @ yt)
     if stepped.any():
@@ -397,12 +397,12 @@ def echo(model, rho0, readout, times):
         trace0 = y[diag, 0].sum()
         gen = gen[stepped][:, stepped]
         last = 0.0
-        for k in np.argsort(times, kind="stable"):
-            y = expm_multiply(gen * (times[k] - last), y)
-            _check_trace(abs(y[diag, 0].sum() - trace0), times[k], last)
+        for k, t in enumerate(times):
+            y = expm_multiply(gen * (t - last), y)
+            _check_trace(abs(y[diag, 0].sum() - trace0), t, last)
             vals[k] += np.real(np.vdot(y[:, 1], y[:, 0]))
-            last = float(times[k])
-    return vals
+            last = float(t)
+    return vals[back]
 
 
 class SectorPropagator:

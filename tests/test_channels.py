@@ -215,6 +215,20 @@ def test_fig4b_unsorted_times_match_single_calls():
         assert err == pytest.approx(single, rel=1e-10, abs=1e-14)
 
 
+def test_echo_steps_once_per_distinct_time(monkeypatch, tmp_path):
+    calls = []
+    step = lindblad.expm_multiply
+    monkeypatch.setattr(lindblad, "expm_multiply",
+                        lambda *args: calls.append(args) or step(*args))
+    run_fig4b(3, gamma=0.02, gate_times=(0.7, 0.2, math.pi / 8, 0.2, 0.0))
+    assert len(calls) == 4
+    calls.clear()
+    # 13 gate times for each N = 1..6; pi/4N is a grid time at N = 1, 2,
+    # 3, 4 and 6
+    assert main(["fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+    assert len(calls) == 73
+
+
 def test_reversal_echo_rejects_bad_input():
     # the gate-reversal echo refuses bad times before any propagation
     model, rho0, readout, _ = _gate_configuration(1, 0.01, 1.0, "caption")
@@ -474,6 +488,14 @@ def test_fig4d_never_steps(monkeypatch):
         # the cutoff check runs n_ph_max 4 too
         run_fig4d(n_atoms, n_ph_max=3)
     assert not calls
+
+
+def test_fig4d_forms_no_inverse(monkeypatch):
+    # the eig kernel applies V^-1 by solves against V
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: pytest.fail("np.linalg.inv called"))
+    res = run_fig4d(1, n_ph_max=1, convergence_check=False)
+    assert np.all(np.isfinite(res.errors))
 
 
 def test_fig4d_refuses_an_unconverged_photon_cutoff():

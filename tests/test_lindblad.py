@@ -9,6 +9,8 @@ from scipy.linalg import expm
 
 from becsim import lindblad
 from becsim.channels import (
+    _gate_configuration,
+    build_cavity_model,
     build_dephasing_model,
     build_lambda_model,
     build_loss_model,
@@ -204,6 +206,40 @@ def expectations(series, model, rho0, t_end, samples, op):
     return np.array([np.real(np.trace(op @ rho))
                      for rho in dense_series(series, model, rho0, t_end,
                                              samples)])
+
+
+def near_hermitian_model():
+    """No jumps, a complex H Hermitian only to 1e-12: H^T != conj(H)."""
+    sm, sz, sx = qubit_ops()
+    h = sx + 0.3 * sz + 0.2j * (sm - sm.T) + 1e-12j * sm
+    return LindbladModel(h)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _gate_configuration(2, 0.01, 1.0, "caption")[0],
+    lambda: build_loss_model(1, 2, 0.3),
+    lambda: build_lambda_model(2, 1.0, 10.0, 0.1)[0],
+    lambda: build_cavity_model(1, 10.0, 1.0, 1.0, 1.0, 1, 2)[0],
+    near_hermitian_model,
+], ids=["dephasing", "loss", "lambda", "cavity", "no-jumps"])
+def test_liouvillian_matches_the_term_by_term_oracle(build):
+    # the effective-Hamiltonian form against one Kronecker product per
+    # term; the bra side reads H^T, so the 1e-12 anti-Hermitian part of
+    # the no-jump H lands where the oracle puts it
+    model = build()
+    d = model.dim
+    # row-major vec(rho) is the column-stacked vec(rho^T)
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    want = dense_liouvillian(model.hamiltonian, model.jumps)[swap][:, swap]
+    got = lindblad._liouvillian(model).toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_dephasing_gate_liouvillian_is_exactly_symmetric():
+    # echo steps a component only when L_b^T = L_b holds bitwise
+    lv = lindblad._liouvillian(_gate_configuration(3, 0.01, 1.0,
+                                                   "caption")[0])
+    assert (lv != lv.T).nnz == 0
 
 
 @pytest.mark.parametrize("series", [lindblad._rk_series,
