@@ -6,19 +6,22 @@ the integrator propagates the density matrix
     drho/dt = -i[H, rho] + sum_j gamma_j (L rho L+ - {L+L, rho}/2)
 
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
-uses the one sparse Liouvillian `_liouvillian` builds, restricted to the
-connected components rho occupies (`_occupied`): the grid evaluator
-steps them, and echo steps or diagonalizes each by its symmetry.
-Adaptive DOP853 integrates the same equation without it.
+reads one generator formula, `_generator`: sparse over the whole basis
+(`_liouvillian`) and restricted to the connected components rho occupies
+(`_occupied`) for the grid evaluator and echo, or dense over one (sector,
+sector) block (`_block_generator`) for fig4d.  Adaptive DOP853
+integrates the same equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 
 The module loads on numpy alone.  Each scipy module is imported inside
-the first call that runs it (scipy.sparse and scipy.sparse.csgraph by
-the sparse Liouvillian and its component labels, scipy.sparse.linalg by
-expm_multiply, scipy.integrate by solve_ivp), so the pure-state commands
-never load scipy.  expm_multiply and solve_ivp are first-use wrappers
-defined here, where callers, tests and perfbench/tracing.py look them up.
+the first call that runs it: scipy.sparse and scipy.sparse.csgraph by
+the sparse Liouvillian and its component labels (the exact path and
+echo), scipy.sparse.linalg by expm_multiply (when they step),
+scipy.integrate by solve_ivp (DOP853).  The pure-state commands and
+fig4d's dense blocks load none.  expm_multiply and solve_ivp are
+first-use wrappers defined here, where callers, tests and
+perfbench/tracing.py look them up.
 """
 
 from __future__ import annotations
@@ -148,23 +151,51 @@ def _all_diagonal(model):
     return not any(np.count_nonzero(m - np.diag(np.diagonal(m))) for m in mats)
 
 
-def _liouvillian(model):
-    """Sparse row-major superoperator -i H_eff (x) 1 + i 1 (x) (H + iD/2)^T
-    + sum_j gamma_j L (x) conj(L), H_eff = H - iD/2, D = sum_j gamma_j L+L
-    (Breuer & Petruccione 2002).  H^T, not conj(H): H is Hermitian to 1e-10."""
-    import scipy.sparse as sp
-    d = model.dim
-    eye = sp.identity(d, format="csr", dtype=complex)
-    h = sp.csr_matrix(model.hamiltonian)
-    jumps = [(sp.csr_matrix(op), rate) for op, rate in model.jumps]
+def _terms(h, jumps, eye):
+    """(H, D, jumps, 1), D = sum_j gamma_j L+L: _generator's factors."""
     damp = sum((rate * (l.conj().T @ l) for l, rate in jumps), 0 * eye)
-    lv = (-1j * sp.kron(h - 0.5j * damp, eye)
-          + 1j * sp.kron(eye, (h + 0.5j * damp).T))
-    for l, rate in jumps:
-        lv = lv + rate * sp.kron(l, l.conj())
-    lv = lv.tocsr()
+    return h, damp, jumps, eye
+
+
+def _generator(kron, rows, cols):
+    """Row-major superoperator of rho[r, c]: -i H_eff (x) 1 + i 1 (x)
+    (H + iD/2)^T + sum_j gamma_j L (x) conj(L), H_eff = H - iD/2 (Breuer &
+    Petruccione 2002), the left factors _terms over the row states r and
+    the right ones over the column states c.  H^T, not conj(H): H is
+    Hermitian to 1e-10."""
+    h, damp, jumps, eye = rows
+    hc, dampc, jumpsc, eyec = cols
+    # in place: a dense block makes 5 n^2 arrays, not 8; the freed ones
+    # fragment the heap across blocks of different n and raise peak RSS
+    lv = kron(h - 0.5j * damp, eyec)
+    lv *= -1j
+    lv += 1j * kron(eye, (hc + 0.5j * dampc).T)
+    for (l, rate), (lc, _) in zip(jumps, jumpsc):
+        lv += rate * kron(l, lc.conj())
+    return lv
+
+
+def _liouvillian(model):
+    """The sparse (csr) generator over the whole basis."""
+    import scipy.sparse as sp
+    terms = _terms(sp.csr_matrix(model.hamiltonian),
+                   [(sp.csr_matrix(op), rate) for op, rate in model.jumps],
+                   sp.identity(model.dim, format="csr", dtype=complex))
+    lv = _generator(sp.kron, terms, terms).tocsr()
     lv.eliminate_zeros()    # sp.kron stores the zeros of a half-dense factor
     return lv
+
+
+def _block_generator(model, rows, cols):
+    """The dense generator of rho[rows, cols], rows and cols each a sector:
+    a set of basis indices that neither H nor any jump leaves, so that
+    the block evolves alone (Buca & Prosen, NJP 14, 073007, 2012)."""
+    def terms(states):
+        take = np.ix_(states, states)
+        return _terms(model.hamiltonian[take],
+                      [(op[take], rate) for op, rate in model.jumps],
+                      np.eye(states.size))
+    return _generator(np.kron, terms(rows), terms(cols))
 
 
 def _occupied(model, x):
@@ -337,6 +368,19 @@ def _check_times(times, name="gate times"):
     return times
 
 
+def _eig_echo(gen, x, o, times):
+    """Re o . e^{conj(gen) t} e^{gen t} x at each time, gen dense.
+
+    One eig, (w, V), evolves x to all times at once as V exp(w t) V^-1 x
+    and back as conj(V exp(w t) V^-1 conj(.)), V^-1 applied by solves.
+    """
+    w, v = np.linalg.eig(gen)
+    grow = np.exp(np.outer(w, times))
+    xt = v @ (grow * np.linalg.solve(v, x)[:, None])
+    yt = np.conj(v @ (grow * np.linalg.solve(v, np.conj(xt))))
+    return np.real(o @ yt)
+
+
 def echo(model, rho0, readout, times):
     """Tr(readout rho) after running the model for t, then for t with -H.
 
@@ -352,11 +396,11 @@ def echo(model, rho0, readout, times):
     L_b^T = L_b exactly (the dephasing gate), [x, conj(o)] steps forward
     under L_b between the sorted times with expm_multiply (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33, 488, 2011); the stepped part keeps
-    its own trace, checked at every time.  Otherwise (the cavity bus) one
-    eig, (w, V), evolves x to all times at once and back as conj(V exp(w t)
-    V^-1 conj(x)), V^-1 by a solve, and the transposed entries' component
-    folds into 2 Re of the contribution, as the readout is Hermitian.
-    Returns the real signal at each time, in the order given.
+    its own trace, checked at every time.  Otherwise (a lowering jump,
+    whose L^T != L) _eig_echo diagonalizes L_b once, and the transposed
+    entries' component folds into 2 Re of the contribution, as the readout
+    is Hermitian.  Returns the real signal at each time, in the order
+    given.
     """
     times, back = np.unique(_check_times(times), return_inverse=True)
     if any(np.any(m.imag) for m in [model.hamiltonian] + [
@@ -384,12 +428,8 @@ def echo(model, rho0, readout, times):
             stepped[pos] = True
             continue
         diagonalized.add(c)
-        w, v = np.linalg.eig(block.toarray())
-        grow = np.exp(np.outer(w, times))
-        xt = v @ (grow * np.linalg.solve(v, rho[idx[pos]])[:, None])
-        yt = np.conj(v @ (grow * np.linalg.solve(v, np.conj(xt))))
         fold = 2.0 if mate > c and mate in reached else 1.0
-        vals += fold * np.real(o[pos] @ yt)
+        vals += fold * _eig_echo(block.toarray(), rho[idx[pos]], o[pos], times)
     if stepped.any():
         # flat index i*d + j is a multiple of d + 1 exactly when i == j
         diag = np.flatnonzero(idx[stepped] % (d + 1) == 0)

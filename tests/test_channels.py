@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from becsim import lindblad
 from becsim.channels import (
     AXIS_CONVENTIONS,
+    _bus_sectors,
     _gate_configuration,
     build_cavity_model,
     build_dephasing_model,
@@ -438,6 +439,29 @@ def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
         want = np.real(np.trace(sx1 @ vec.reshape(d, d, order="F")))
         assert abs(value - want) < 1e-10
     assert np.ptp(got) > 1e-3   # the echo is not trivially perfect
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+@pytest.mark.parametrize("n_ph_max", [1, 2, 3, 4])
+def test_fig4d_sector_blocks_match_the_whole_model(n_atoms, n_ph_max):
+    # fig4d's echo on dense (n_a1, n_a2) sector blocks against echo on the
+    # whole model's Liouvillian components
+    model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0,
+                                      n_ph_max, n_ph_max + 1)
+    sectors = _bus_sectors(basis)
+    assert sorted(map(tuple, sectors)) == \
+        sorted(map(tuple, SectorPropagator(model).blocks))
+    lv = lindblad._liouvillian(model)
+    bound = 1e-15 * abs(lv).max()
+    for s in sectors:
+        for t in sectors:
+            idx = (s[:, None] * model.dim + t).ravel()
+            block = lindblad._block_generator(model, s, t)
+            assert np.abs(block - lv[idx][:, idx].toarray()).max() <= bound
+    res = run_fig4d(n_atoms, n_ph_max=n_ph_max, convergence_check=False)
+    psi = cavity_initial_state(basis, n_atoms)
+    want = 1.0 - echo(model, psi, cavity_sx1(basis) / n_atoms, res.times)
+    np.testing.assert_allclose(res.errors, want, rtol=1e-12, atol=0)
 
 
 def _brute_force_pairs(blocks, operator):

@@ -159,9 +159,10 @@ def scipy_modules():
 
 
 assert not scipy_modules(), scipy_modules()
-# the pure-state commands run on numpy alone
+# the pure-state commands, and fig4d's dense sector blocks, run on numpy
+# alone
 for argv in (["deutsch", "--N", "2"], ["fig2a", "--N", "2", "--samples", "3"],
-             ["fig2b", "--N-max", "3"], ["schedule"]):
+             ["fig2b", "--N-max", "3"], ["schedule"], ["fig4d", "--N-max", "1"]):
     assert main(argv + ["--out", "out.csv"]) == 0
     assert not scipy_modules(), (argv[0], scipy_modules())
 assert main(["fig4b", "--N-max", "1", "--samples", "3", "--out", "b.csv"]) == 0
@@ -210,7 +211,9 @@ DOP853_MODULES = "scipy.integrate scipy.sparse scipy.sparse.linalg"
     # dimension 100: the exact path on the Liouvillian's components
     (["fig4a", "--N", "9", "--samples", "3"],
      "scipy.sparse scipy.sparse.csgraph scipy.sparse.linalg"),
-], ids=["fig4a-dop853", "fig4c-dop853", "fig4a-exact"])
+    # dense (sector, sector) blocks built from the model: no scipy
+    (["fig4d", "--N-max", "1"], ""),
+], ids=["fig4a-dop853", "fig4c-dop853", "fig4a-exact", "fig4d"])
 def test_master_equation_paths_import(argv, modules, tmp_path):
     out = run_fresh(PATH_PROBE, tmp_path, *argv)
     assert out.splitlines()[-1] == modules
