@@ -227,9 +227,10 @@ def run_fig4b(n_atoms, gamma=0.01, omega2=1.0, gate_times=()):
     Error is 1 - <S^z1>/N (caption convention; its x<->z relabeling gives
     the same) after evolving under +H for t and -H for another t, with
     dephasing on throughout; exact reversal at gamma = 0.  lindblad.echo
-    runs it: the gate and the S^z jumps are real and symmetric, so rho and
-    the readout step forward together under one Liouvillian that serves
-    every gate time.  Returns the errors in the order of gate_times.
+    runs it: the gate and the S^z jumps are real and equal to their
+    transposes, so rho and the readout step forward together under one
+    Liouvillian that serves every gate time.  Returns the errors in the
+    order of gate_times.
     """
     model, rho0, readout, _ = _gate_configuration(n_atoms, gamma, omega2,
                                                   "caption")
@@ -340,13 +341,15 @@ def run_fig4d(n_atoms, cavity_g=1.0, delta=10.0, gamma_c=1.0, g_laser=1.0,
     read the error 1 - <S^x1>/N; gate times must be finite and >= 0.
     Mode a enters neither the drive, the cavity coupling nor the photon
     jump, so (n_a1, n_a2) is conserved and each (sector, sector) block of
-    rho evolves alone.  The echo is then lindblad.echo's eig kernel
-    (lindblad._eig_echo) on the dense generator of each block rho0 and the
-    readout both touch (lindblad._block_generator), once per transposed
-    pair, folded into 2 Re as the readout is Hermitian; the real H and
-    jump make the reversed leg the conjugate.  The whole Liouvillian is
-    never formed.  The fitted decoherence rate comes from the log-slope of
-    the surviving polarization (lindblad.log_slope; NaN below 3 points):
+    rho evolves alone.  The echo is one eig per block rho0 and the readout
+    both touch (lindblad._eig_echo on lindblad._block_generator), once per
+    transposed pair, folded into 2 Re as the readout is Hermitian; the
+    real H and jump make the reversed leg the conjugate.  lindblad.echo
+    refuses this model: the photon jump is not symmetric, and stepping to
+    these stiff gate times would cost far more than one eig.  The whole
+    Liouvillian is never formed.  The fitted decoherence rate comes from
+    the log-slope of the surviving polarization (lindblad.log_slope; NaN
+    below 3 points):
     under an effective S^z-jump dephasing at rate Gamma acting for the
     doubled duration 2t, the signal is exp(-4 Gamma t).
     """

@@ -8,9 +8,10 @@ the integrator propagates the density matrix
 with per-sample trace/Hermiticity diagnostics.  Every exact evolution
 reads one generator formula, `_generator`: sparse over the whole basis
 (`_liouvillian`) and restricted to the connected components rho occupies
-(`_occupied`) for the grid evaluator and echo, or dense over one (sector,
-sector) block (`_block_generator`) for fig4d.  Adaptive DOP853
-integrates the same equation without it.
+(`_occupied`) for the grid evaluator and the stepped echo (`echo`,
+fig4b), or dense over one (sector, sector) block (`_block_generator`)
+for fig4d's eig echo (`_eig_echo`).  Adaptive DOP853 integrates the same
+equation without it.
 A rate gamma entering the jump list corresponds to the dissipator written
 in the equivalent -(gamma/2)[L+L rho - 2 L rho L+ + rho L+L] form.
 
@@ -339,9 +340,11 @@ def integrate_master(model, rho0, t_end, samples, observables=None):
     _check_times(t_end, "t_end")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    d = model.dim
     observables = {name: np.asarray(op, dtype=complex)
                    for name, op in (observables or {}).items()}
-    d = model.dim
+    if any(op.shape != (d, d) for op in observables.values()):
+        raise ValueError("observable dimension mismatch")
     rho = _as_matrix(rho0, d)
     exact = _all_diagonal(model) or d > 64
     series = _exact_series if exact else _rk_series
@@ -369,7 +372,9 @@ def _check_times(times, name="gate times"):
 
 
 def _eig_echo(gen, x, o, times):
-    """Re o . e^{conj(gen) t} e^{gen t} x at each time, gen dense.
+    """Re o . e^{conj(gen) t} e^{gen t} x at each time, gen dense: fig4d's
+    echo on one (sector, sector) block, where the photon jump makes
+    gen^T != gen and the stiff gate times make stepping costly.
 
     One eig, (w, V), evolves x to all times at once as V exp(w t) V^-1 x
     and back as conj(V exp(w t) V^-1 conj(.)), V^-1 applied by solves.
@@ -384,64 +389,49 @@ def _eig_echo(gen, x, o, times):
 def echo(model, rho0, readout, times):
     """Tr(readout rho) after running the model for t, then for t with -H.
 
-    H and the jumps must be real and the readout Hermitian (else
-    ValueError), so the reversed model's (-H, same jumps) generator is
-    conj(L), L the forward one, and
+    H and every jump must be real and equal to its transpose, and the
+    readout Hermitian and d x d (else ValueError).  Then the forward
+    generator L (_generator) has L^T = L and the reversed model's
+    (-H, same jumps) is conj(L), so
 
-        echo(t) = sum_i (e^{L^H t} o)_i (e^{L t} x)_i
+        echo(t) = sum_i (e^{L t} conj(o))^*_i (e^{L t} x)_i
 
-    for x = vec rho0 and o pairing rho[i, j] with readout[j, i].  Each
-    Liouvillian component L_b (_occupied) that rho0 and the readout both
-    touch runs on one of two kernels, once per distinct time.  When
-    L_b^T = L_b exactly (the dephasing gate), [x, conj(o)] steps forward
-    under L_b between the sorted times with expm_multiply (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488, 2011); the stepped part keeps
-    its own trace, checked at every time.  Otherwise (a lowering jump,
-    whose L^T != L) _eig_echo diagonalizes L_b once, and the transposed
-    entries' component folds into 2 Re of the contribution, as the readout
-    is Hermitian.  Returns the real signal at each time, in the order
-    given.
+    for x = vec rho0 and o pairing rho[i, j] with readout[j, i].  The
+    Liouvillian components (_occupied) that rho0 and the readout both
+    touch step [x, conj(o)] forward together between the sorted distinct
+    times with expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488, 2011), one call per time, and rho's trace there is checked at
+    every time.  Returns the real signal at each time, in the order given.
     """
     times, back = np.unique(_check_times(times), return_inverse=True)
-    if any(np.any(m.imag) for m in [model.hamiltonian] + [
-            op for op, _ in model.jumps]):
-        raise ValueError("the echo needs a real H and real jumps")
+    if any(np.any(m.imag) or np.any(m != m.T) for m in [model.hamiltonian]
+           + [op for op, _ in model.jumps]):
+        raise ValueError("the echo needs a real H and real jumps, each equal "
+                         "to its transpose")
+    d = model.dim
     readout = np.asarray(readout, dtype=complex)
+    if readout.shape != (d, d):
+        raise ValueError("readout dimension mismatch")
     if not np.array_equal(readout, readout.conj().T):
         raise ValueError("the echo needs a Hermitian readout")
-    d = model.dim
     rho = _as_matrix(rho0, d).reshape(-1)
     gen, idx, labels = _occupied(model, rho)
     o = readout.T.reshape(-1)[idx]
-    own, flip = labels[idx], labels.reshape(d, d).T.reshape(-1)[idx]
-    reached = set(own[o != 0].tolist())
+    keep = np.isin(labels[idx], labels[idx[o != 0]])
     vals = np.zeros(times.size)
-    stepped = np.zeros(idx.size, dtype=bool)
-    diagonalized = set()
-    for c in sorted(reached):
-        pos = np.flatnonzero(own == c)
-        mate = flip[pos[0]]     # the component of the transposed entries
-        if mate in diagonalized:
-            continue
-        block = gen[pos][:, pos]
-        if (block != block.T).nnz == 0:
-            stepped[pos] = True
-            continue
-        diagonalized.add(c)
-        fold = 2.0 if mate > c and mate in reached else 1.0
-        vals += fold * _eig_echo(block.toarray(), rho[idx[pos]], o[pos], times)
-    if stepped.any():
-        # flat index i*d + j is a multiple of d + 1 exactly when i == j
-        diag = np.flatnonzero(idx[stepped] % (d + 1) == 0)
-        y = np.stack([rho[idx[stepped]], np.conj(o[stepped])], axis=1)
-        trace0 = y[diag, 0].sum()
-        gen = gen[stepped][:, stepped]
-        last = 0.0
-        for k, t in enumerate(times):
-            y = expm_multiply(gen * (t - last), y)
-            _check_trace(abs(y[diag, 0].sum() - trace0), t, last)
-            vals[k] += np.real(np.vdot(y[:, 1], y[:, 0]))
-            last = float(t)
+    if not keep.any():
+        return vals[back]
+    idx, gen = idx[keep], gen[keep][:, keep]
+    # flat index i*d + j is a multiple of d + 1 exactly when i == j
+    diag = np.flatnonzero(idx % (d + 1) == 0)
+    y = np.stack([rho[idx], np.conj(o[keep])], axis=1)
+    trace0 = y[diag, 0].sum()
+    last = 0.0
+    for k, t in enumerate(times):
+        y = expm_multiply(gen * (t - last), y)
+        _check_trace(abs(y[diag, 0].sum() - trace0), t, last)
+        vals[k] = np.real(np.vdot(y[:, 1], y[:, 0]))
+        last = float(t)
     return vals[back]
 
 

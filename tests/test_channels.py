@@ -259,38 +259,58 @@ def test_sector_echo_rejects_complex_operators():
 
 
 def test_echo_rejects_a_non_hermitian_readout():
-    # the eig kernel folds the transposed partner into 2 Re, which holds
-    # only for a Hermitian readout: this one read 0.4094 there against the
-    # dense echo's 0.6140 at t = 5
+    # echo returns the real Tr(readout rho), which is the expectation value
+    # only for a Hermitian readout
     h = np.diag([0.0, 1.0]).astype(complex)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     readout = np.array([[0.0, 1.0], [0.5, 0.0]])
-    lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    for jump in (np.diag([1.0, -1.0]).astype(complex), lowering):
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    for jump in (np.diag([1.0, -1.0]).astype(complex), flip):
         model = LindbladModel(h, ((jump, 0.01),))
         with pytest.raises(ValueError, match="Hermitian readout"):
             echo(model, rho0, readout, [0.1, 5.0])
 
 
-def test_echo_runs_a_real_lowering_jump_on_eig(monkeypatch):
-    # L^T != L: no longer refused, but diagonalized, not stepped
+def test_echo_refuses_a_non_symmetric_model(monkeypatch):
+    # a real lowering jump gives L^T != L, so the reversed leg is not the
+    # stepped forward one: refused before any kernel runs
     model, rho0, readout, _ = _gate_configuration(1, 0.01, 1.0, "caption")
     lowering = np.array([[0, 1, 0, 0], [0, 0, 0, 0],
                          [0, 0, 0, 1], [0, 0, 0, 0]], dtype=complex)
     lossy = LindbladModel(model.hamiltonian, model.jumps + ((lowering, 0.1),))
-    stepped = []
-    step = lindblad.expm_multiply
+    for name, module in (("expm_multiply", lindblad), ("eig", np.linalg),
+                         ("_liouvillian", lindblad)):
+        monkeypatch.setattr(module, name, lambda *args, name=name:
+                            pytest.fail("%s called" % name))
+    with pytest.raises(ValueError, match="real H and real jumps, each equal "
+                                         "to its transpose"):
+        echo(lossy, rho0, readout, [0.5, 0.1])
+
+
+def test_echo_refuses_a_readout_of_the_wrong_shape():
+    # N = 2 caption gate, d = 9: at t = 0.5 a zero-padded 10 x 10 readout
+    # used to read -1.7e-4 against 0.97862, and a smaller one raised
+    # IndexError
+    model, rho0, readout, _ = _gate_configuration(2, 0.01, 1.0, "caption")
+    assert echo(model, rho0, readout, [0.5])[0] == pytest.approx(0.97862,
+                                                                 abs=5e-6)
+    padded = np.zeros((10, 10))
+    padded[:9, :9] = readout.real
+    for bad in (padded, readout[:8, :8]):
+        with pytest.raises(ValueError, match="readout dimension mismatch"):
+            echo(model, rho0, bad, [0.5])
+
+
+def test_echo_is_zero_when_no_component_is_reached(monkeypatch):
+    # diagonal H and jump: every entry of rho is its own component, so a
+    # diagonal rho0 and an off-diagonal readout share none
+    model = LindbladModel(np.diag([0.0, 1.0]).astype(complex),
+                          ((np.diag([1.0, -1.0]).astype(complex), 0.1),))
     monkeypatch.setattr(lindblad, "expm_multiply",
-                        lambda *args: stepped.append(args) or step(*args))
-    times = np.array([0.5, 0.1])
-    got = echo(lossy, rho0, readout, times)
-    assert not stepped
-    fwd = dense_liouvillian(lossy.hamiltonian, lossy.jumps)
-    rev = dense_liouvillian(-lossy.hamiltonian, lossy.jumps)
-    for t, value in zip(times, got):
-        vec = expm(t * rev) @ expm(t * fwd) @ rho0.reshape(-1, order="F")
-        want = np.real(np.trace(readout @ vec.reshape(4, 4, order="F")))
-        assert abs(value - want) < 1e-8
+                        lambda *args: pytest.fail("expm_multiply called"))
+    got = echo(model, np.diag([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+               [1.0, 0.0])
+    np.testing.assert_array_equal(got, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -417,35 +437,60 @@ def test_cavity_sector_evolution_matches_dense():
     assert np.max(np.abs(evolve_by_blocks(prop, rho0, t) - dense)) < 1e-8
 
 
-@pytest.mark.parametrize("n_atoms,exc_max", [(1, 2), (2, 1)])
-def test_sector_echo_matches_dense_oracle(n_atoms, exc_max):
-    # N = 2 drops the states with two excitations (exc_max=1): fig4d's
-    # exc_max = n_ph_max + 1 gives a 2704-dim dense Liouvillian, too slow
-    # for expm
-    model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0, 1,
-                                      exc_max)
-    psi = cavity_initial_state(basis, n_atoms)
-    rho0 = np.outer(psi, psi.conj())
-    sx1 = cavity_sx1(basis) / n_atoms
-    dt, steps = 4.0, (1, 15)
-    got = echo(model, rho0, sx1, dt * np.array(steps))
-    fwd = expm(dt * dense_liouvillian(model.hamiltonian, model.jumps))
-    rev = expm(dt * dense_liouvillian(-model.hamiltonian, model.jumps))
+def _dense_block_echo(model, basis, n_atoms, dt, steps):
+    """<S^x1>/N after the bus echo for k dt, k = 1..steps, every
+    (n_a1, n_a2) sector pair on its own, with no fold: the pair's blocks of
+    the sparse Liouvillians of (H, L) and (-H, L), each exponentiated once
+    for dt by scipy.linalg.expm, then k steps forward and k back."""
     d = model.dim
-    for k, value in zip(steps, got):
-        vec = rho0.reshape(-1, order="F")
-        for step in [fwd] * k + [rev] * k:
-            vec = step @ vec
-        want = np.real(np.trace(sx1 @ vec.reshape(d, d, order="F")))
-        assert abs(value - want) < 1e-10
-    assert np.ptp(got) > 1e-3   # the echo is not trivially perfect
+    fwd = lindblad._liouvillian(model)
+    rev = lindblad._liouvillian(LindbladModel(-model.hamiltonian,
+                                              model.jumps))
+    psi = cavity_initial_state(basis, n_atoms)
+    sx1 = cavity_sx1(basis) / n_atoms
+    labels = [(s[0], s[3]) for s in basis.states]
+    sectors = [np.flatnonzero([l == key for l in labels])
+               for key in set(labels)]
+    total = np.zeros(steps)
+    for s in sectors:
+        for t in sectors:
+            x = np.outer(psi[s], psi[t].conj()).ravel()
+            o = sx1[np.ix_(t, s)].T.ravel()    # rho[s, t] pairs with sx1[t, s]
+            if not (x.any() and o.any()):
+                continue
+            idx = (s[:, None] * d + t).ravel()
+            f, r = (expm(dt * lv[idx][:, idx].toarray()) for lv in (fwd, rev))
+            for k in range(steps):
+                x = f @ x
+                y = x
+                for _ in range(k + 1):
+                    y = r @ y
+                total[k] += np.real(o @ y)
+    return total
+
+
+@pytest.mark.parametrize("n_atoms,n_ph_max", [(1, 1), (1, 2), (1, 3), (2, 1)])
+def test_sector_echo_matches_dense_oracle(n_atoms, n_ph_max):
+    # run_fig4d's eig echo, folded over transposed pairs, against the
+    # unfolded dense oracle at its 12 default gate times, k pi / (48 N
+    # omega2_eff) (largest gap 1.8e-11, relative); N = 2 at n_ph_max 2
+    # agrees to 2.3e-12 but takes 1.4 s
+    model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0,
+                                      n_ph_max, n_ph_max + 1)
+    dt = 1000.0 * math.pi / (12 * n_atoms)
+    res = run_fig4d(n_atoms, n_ph_max=n_ph_max, convergence_check=False,
+                    gate_times=dt * np.arange(1, 13))
+    want = 1.0 - _dense_block_echo(model, basis, n_atoms, dt, 12)
+    np.testing.assert_allclose(res.errors, want, rtol=1e-10, atol=0)
+    assert np.ptp(res.errors) > 1e-3   # the echo is not trivially perfect
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2])
 @pytest.mark.parametrize("n_ph_max", [1, 2, 3, 4])
 def test_fig4d_sector_blocks_match_the_whole_model(n_atoms, n_ph_max):
-    # fig4d's echo on dense (n_a1, n_a2) sector blocks against echo on the
-    # whole model's Liouvillian components
+    # fig4d's (n_a1, n_a2) sectors partition the basis as the model's
+    # conserved sectors do, and each dense block generator equals the
+    # whole model's Liouvillian on that block
     model, basis = build_cavity_model(n_atoms, 10.0, 1.0, 1.0, 1.0,
                                       n_ph_max, n_ph_max + 1)
     sectors = _bus_sectors(basis)
@@ -458,10 +503,6 @@ def test_fig4d_sector_blocks_match_the_whole_model(n_atoms, n_ph_max):
             idx = (s[:, None] * model.dim + t).ravel()
             block = lindblad._block_generator(model, s, t)
             assert np.abs(block - lv[idx][:, idx].toarray()).max() <= bound
-    res = run_fig4d(n_atoms, n_ph_max=n_ph_max, convergence_check=False)
-    psi = cavity_initial_state(basis, n_atoms)
-    want = 1.0 - echo(model, psi, cavity_sx1(basis) / n_atoms, res.times)
-    np.testing.assert_allclose(res.errors, want, rtol=1e-12, atol=0)
 
 
 def _brute_force_pairs(blocks, operator):

@@ -236,7 +236,8 @@ def test_liouvillian_matches_the_term_by_term_oracle(build):
 
 
 def test_dephasing_gate_liouvillian_is_exactly_symmetric():
-    # echo steps a component only when L_b^T = L_b holds bitwise
+    # echo's stepped reversal needs L^T = L bitwise, which its real,
+    # transpose-equal H and jumps give
     lv = lindblad._liouvillian(_gate_configuration(3, 0.01, 1.0,
                                                    "caption")[0])
     assert (lv != lv.T).nnz == 0
@@ -523,6 +524,19 @@ def test_non_finite_t_end_is_rejected(model, t_end):
         integrate_master(model, rho0, t_end, 5)
     with pytest.raises(ValueError, match="t must be finite and >= 0"):
         propagate(model, rho0, t_end)
+
+
+@pytest.mark.parametrize("model", [build_dephasing_model(1, 3, "z", 0.05),
+                                   build_loss_model(1, 2, 0.1)],
+                         ids=["expm", "rk"])
+def test_observable_of_the_wrong_shape_is_rejected(model):
+    # the sampler's op[cols, rows] used to read a larger observable's
+    # top-left d x d corner, and a smaller one raised IndexError
+    d = model.dim
+    rho0 = np.eye(d, dtype=complex) / d
+    for bad in (np.eye(d + 1), np.eye(d - 1)):
+        with pytest.raises(ValueError, match="observable dimension mismatch"):
+            integrate_master(model, rho0, 1.0, 5, {"bad": bad})
 
 
 def _counting(monkeypatch, owner, name):

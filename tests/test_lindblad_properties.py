@@ -13,22 +13,23 @@ eigendecomposition must rebuild the row-major Kronecker block generator
 assembled directly from the sector slices of H and the jumps, and the
 sector pairs an operator reaches must match a scan of every pair.  For real H
 and jumps, the conjugated forward block eigendecomposition must reproduce
-the evolution of the reversed model (-H, same jumps), and echo must give
-the dense expm echo on the kernel its rule picks: it steps the symmetric
-components, and diagonalizes every other folded Liouvillian component
-that rho0 and the readout both touch.
+the evolution of the reversed model (-H, same jumps).  echo must give the
+dense expm echo by stepping alone (no eig) when every jump equals its
+transpose, and refuse the model otherwise.  fig4d's eig kernel,
+_eig_echo, summed over every (planted block, planted block) generator of
+a model with lowering jumps, must give the dense expm echo with no fold.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 from becsim import lindblad
-from becsim.lindblad import (LindbladModel, SectorPropagator, _exact_series,
-                             _rk_series, echo, propagate)
+from becsim.lindblad import (LindbladModel, SectorPropagator, _eig_echo,
+                             _exact_series, _rk_series, echo, propagate)
 from test_lindblad import (assert_matches_full_matrix_oracle, dense_evolve,
                            dense_liouvillian, dense_series, sampled)
 
@@ -210,9 +211,9 @@ def _ladder_model(planted, rng):
        st.sampled_from(["symmetric", "drawn", "ladder"]),
        st.integers(0, 2 ** 32 - 1))
 def test_echo_matches_dense_echo(case, kind, seed):
-    """kind "symmetric": symmetric jumps, so every component steps;
-    "ladder": lowering jumps, so every component larger than one entry is
-    diagonalized; "drawn": the planted jumps."""
+    """kind "symmetric": symmetric jumps, so echo steps; "ladder": lowering
+    jumps and "drawn": the planted jumps, each refused unless every jump
+    happens to equal its transpose (all planted blocks of size 1)."""
     model, planted, rho0, obs, t = case
     rng = np.random.default_rng(seed)
     if kind == "ladder":
@@ -220,9 +221,10 @@ def test_echo_matches_dense_echo(case, kind, seed):
     if kind == "symmetric":
         model = LindbladModel(model.hamiltonian, tuple(
             (0.5 * (op + op.T), rate) for op, rate in model.jumps))
+    symmetric = all(np.array_equal(op, op.T) for op, _ in model.jumps)
+    if kind == "symmetric":
+        assert symmetric
     d = model.dim
-    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
-    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
     # rho0 on a random nonempty subset of the planted blocks: the readout
     # (dense) also touches components rho0 does not
     keep = np.zeros(d, dtype=bool)
@@ -234,29 +236,42 @@ def test_echo_matches_dense_echo(case, kind, seed):
     with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
             mock.patch.object(lindblad, "expm_multiply",
                               wraps=lindblad.expm_multiply) as stepper:
-        got = echo(model, rho0, obs, times)
+        if not symmetric:
+            with pytest.raises(ValueError, match="equal to its transpose"):
+                echo(model, rho0, obs, times)
+        else:
+            got = echo(model, rho0, obs, times)
+    assert eig.call_count == 0
+    assert stepper.call_count == (times.size if symmetric else 0)
+    if not symmetric:
+        return
+    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
+    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
     for s, value in zip(times, got):
         vec = expm(s * rev) @ (expm(s * fwd) @ rho0.reshape(-1, order="F"))
         want = np.real(np.trace(obs @ vec.reshape(d, d, order="F")))
         assert abs(value - want) < 1e-8
 
-    # the components, from the column-stacked dense generator: entry
-    # (i, j) sits at i + j d there
-    _, label = connected_components(fwd != 0, directed=False)
-    label = label.reshape(d, d, order="F")
-    if kind == "ladder" and max(b.size for b in planted) > 1:
-        assert np.unique(label).size > len(planted) ** 2
-    both = set(label[rho0 != 0].tolist()) & set(label[obs.T != 0].tolist())
-    orbits = {frozenset((c, label.T[label == c][0])) & both for c in both}
-    # the kernel rule on each orbit's first component
-    stepped = []
-    for orbit in orbits:
-        e = np.flatnonzero(label.reshape(-1, order="F") == min(orbit))
-        block = fwd[np.ix_(e, e)]
-        stepped.append(np.array_equal(block, block.T))
-        if kind == "symmetric":
-            assert stepped[-1]
-        if kind == "ladder" and e.size > 1:
-            assert not stepped[-1]
-    assert eig.call_count == stepped.count(False)
-    assert stepper.call_count == (times.size if any(stepped) else 0)
+
+@settings(max_examples=40, deadline=None)
+@given(planted_models(real=True), st.integers(0, 2 ** 32 - 1))
+def test_eig_echo_matches_dense_expm(case, seed):
+    # fig4d's kernel on every (planted block, planted block) generator of
+    # a real model with lowering jumps, summed with no fold, against the
+    # forward and reversed dense expm
+    _, planted, rho0, obs, t = case
+    model = _ladder_model(planted, np.random.default_rng(seed))
+    d = model.dim
+    fwd = dense_liouvillian(model.hamiltonian, model.jumps)
+    rev = dense_liouvillian(-model.hamiltonian, model.jumps)
+    if max(b.size for b in planted) > 1:
+        assert not np.array_equal(fwd, fwd.T)
+    times = np.array([t, 0.0, 0.5 * t])
+    got = sum(_eig_echo(lindblad._block_generator(model, bi, bj),
+                        rho0[np.ix_(bi, bj)].ravel(),
+                        obs[np.ix_(bj, bi)].T.ravel(), times)
+              for bi in planted for bj in planted)
+    for s, value in zip(times, got):
+        vec = expm(s * rev) @ (expm(s * fwd) @ rho0.reshape(-1, order="F"))
+        want = np.real(np.trace(obs @ vec.reshape(d, d, order="F")))
+        assert abs(value - want) < 1e-8
